@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidWindowError
+from .errors import InvalidWindowError, SrkLabError
 from .mapcore import Point2, Rect, eval_map, eval_map_arrays
-from .orbits import SRkOrbit
+from .orbits import SRkOrbit, newton_periodic
 from .params import MapParams
 from .stability import StabilityClass
 
@@ -45,6 +45,20 @@ UNKNOWN = -1
 DIVERGENT = -2
 
 _REGISTRY_RESIDUAL_TOL = 1e-10
+
+# Early retirement of cells that settle on stable cycles outside the
+# registry.  Every _CYCLE_CHECK_EVERY steps the running cells are mapped
+# _CYCLE_MAX_PERIOD more times on the side; a cell whose smallest return
+# time p closes to _CYCLE_CLOSE_TOL is retired as UNKNOWN once Newton
+# polishes its period-p cycle to an asymptotically stable one that lies
+# within _CYCLE_ON_TOL of the cell and keeps _CYCLE_CLEARANCE * prox_tol
+# away from every registry point.  Such a cell can never be labelled, so
+# retiring it changes only its iteration count.
+_CYCLE_CHECK_EVERY = 500
+_CYCLE_MAX_PERIOD = 32
+_CYCLE_CLOSE_TOL = 1e-9
+_CYCLE_ON_TOL = 1e-7
+_CYCLE_CLEARANCE = 10.0
 
 
 @dataclass(frozen=True)
@@ -148,6 +162,8 @@ class IterationStats:
     unknown: int = 0
     max_iterations: int = 0
     mean_iterations: float = 0.0
+    # Unknown cells retired early on an unregistered stable cycle, by period.
+    cycle_cells: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -159,20 +175,80 @@ class BasinGrid:
     stats: IterationStats
 
 
+def _axis_near(sorted_coords: np.ndarray, v: np.ndarray, bound: float) -> np.ndarray:
+    """Whether some registry coordinate lies within ``bound`` of each v.
+
+    The nearest coordinate in value is one of the two sorted neighbours of
+    v's insertion point, and rounded subtraction is monotone, so this is
+    exactly the one-axis part of the max-norm distance.
+    """
+    i = np.searchsorted(sorted_coords, v)
+    below = sorted_coords[np.maximum(i - 1, 0)]
+    above = sorted_coords[np.minimum(i, sorted_coords.size - 1)]
+    return np.minimum(np.abs(v - below), np.abs(above - v)) <= bound
+
+
+def _return_periods(params: MapParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Smallest p <= _CYCLE_MAX_PERIOD with |f^p(x) - x| < _CYCLE_CLOSE_TOL, else 0."""
+    period = np.zeros(x.size, dtype=np.int64)
+    sx, sy = x, y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, _CYCLE_MAX_PERIOD + 1):
+            sx, sy = eval_map_arrays(params, sx, sy)
+            closed = np.maximum(np.abs(sx - x), np.abs(sy - y)) < _CYCLE_CLOSE_TOL
+            period[closed & (period == 0)] = p
+    return period
+
+
+def _near_cycle(x: np.ndarray, y: np.ndarray, cycle: np.ndarray) -> np.ndarray:
+    """Whether each (x, y) lies within _CYCLE_ON_TOL of a point of the cycle."""
+    dist = np.maximum(np.abs(x[:, None] - cycle[:, 0]), np.abs(y[:, None] - cycle[:, 1]))
+    return dist.min(axis=1) < _CYCLE_ON_TOL
+
+
+def _polish_cycle(
+    params: MapParams, p: Point2, period: int, reg_pts: np.ndarray, clearance: float
+) -> tuple[np.ndarray, bool] | None:
+    """The cycle Newton polishes from p, and whether cells on it may retire.
+
+    Cells may retire when the cycle is asymptotically stable and every
+    point of it stays more than ``clearance`` from every registry point.
+    None when Newton fails.
+    """
+    try:
+        orbit = newton_periodic(params, p, period)
+    except SrkLabError:
+        return None
+    cycle = np.array(orbit.points, dtype=float)
+    gap = np.abs(cycle[:, None, :] - reg_pts[None, :, :]).max(axis=2).min()
+    stable = orbit.stability is StabilityClass.ASYMPTOTICALLY_STABLE
+    return cycle, bool(stable and gap > clearance)
+
+
 def classify_batch(
     params: MapParams,
     registry: AttractorRegistry,
     points: np.ndarray,
     limits: ClassifyLimits = ClassifyLimits(),
+    cycle_cells: dict[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and iteration counts for an (N, 2) batch of start points.
 
-    Labels are attractor ids, or UNKNOWN / DIVERGENT.
+    Labels are attractor ids, or UNKNOWN / DIVERGENT.  Cells that settle
+    on a stable cycle outside the registry stop early as UNKNOWN, with
+    the step they stopped at as their count; when ``cycle_cells`` is
+    given, it is incremented by the number of such cells per period.
     """
     if len(registry) == 0:
         raise ValueError("registry must contain at least one attractor")
     reg_pts, owner, owner_period = registry.all_points()
     tree = cKDTree(reg_pts)
+    reg_x, reg_y = np.sort(reg_pts[:, 0]), np.sort(reg_pts[:, 1])
+    bound = limits.prox_tol * (1.0 + 1e-12)
+    clearance = _CYCLE_CLEARANCE * limits.prox_tol
+    cycles: list[tuple[np.ndarray, bool]] = []  # polished cycles, and whether cells retire on them
+    if cycle_cells is None:
+        cycle_cells = {}
 
     n = points.shape[0]
     labels = np.full(n, UNKNOWN, dtype=np.int32)
@@ -184,35 +260,70 @@ def classify_batch(
     candidate = np.full(n, -1, dtype=np.int64)
     run = np.zeros(n, dtype=np.int64)
 
+    def retire(done: np.ndarray, label, step: int) -> None:
+        """Give the running points in ``done`` their label and drop them."""
+        nonlocal x, y, idx, candidate, run
+        labels[idx[done]] = label
+        iters[idx[done]] = step
+        keep = ~done
+        x, y, idx = x[keep], y[keep], idx[keep]
+        candidate, run = candidate[keep], run[keep]
+
     def check_proximity(step: int) -> None:
         """Update candidate/run and retire points that completed a period."""
-        nonlocal x, y, idx, candidate, run
-        dist, nearest = tree.query(
-            np.column_stack((x, y)),
-            k=1,
-            p=np.inf,
-            distance_upper_bound=limits.prox_tol * (1.0 + 1e-12),
-        )
-        near = np.isfinite(dist)
-        att = np.where(near, owner[np.minimum(nearest, len(owner) - 1)], -1)
-        same = near & (att == candidate)
-        run = np.where(same, run + 1, np.where(near, 1, 0))
+        nonlocal candidate, run
+        # Only points near a registry coordinate on both axes can be hits.
+        maybe = np.flatnonzero(_axis_near(reg_x, x, bound) & _axis_near(reg_y, y, bound))
+        att = np.full(x.size, -1, dtype=np.int64)
+        need = np.zeros(x.size, dtype=np.int64)
+        if maybe.size:
+            dist, nearest = tree.query(
+                np.column_stack((x[maybe], y[maybe])),
+                k=1,
+                p=np.inf,
+                distance_upper_bound=bound,
+            )
+            hit = np.isfinite(dist)
+            att[maybe[hit]] = owner[nearest[hit]]
+            need[maybe[hit]] = owner_period[nearest[hit]]
+        near = att >= 0
+        run = np.where(near & (att == candidate), run + 1, np.where(near, 1, 0))
         candidate = att
-        done = near & (run >= owner_period[np.minimum(nearest, len(owner) - 1)])
+        done = near & (run >= need)
         if done.any():
-            labels[idx[done]] = candidate[done].astype(np.int32)
-            iters[idx[done]] = step
-            keep = ~done
-            x, y, idx = x[keep], y[keep], idx[keep]
-            candidate, run = candidate[keep], run[keep]
+            retire(done, candidate[done].astype(np.int32), step)
+
+    def check_cycles(step: int) -> None:
+        """Retire points sitting on a stable cycle outside the registry."""
+        period = _return_periods(params, x, y)
+        on_cycle = np.zeros(x.size, dtype=bool)
+
+        def settle(pending: np.ndarray, cycle: np.ndarray, ok: bool) -> np.ndarray:
+            on = (period[pending] == len(cycle)) & _near_cycle(x[pending], y[pending], cycle)
+            on_cycle[pending[on]] = ok
+            return pending[~on]
+
+        pending = np.flatnonzero(period)
+        for cycle, ok in cycles:
+            pending = settle(pending, cycle, ok)
+        while pending.size:
+            i = pending[0]
+            found = _polish_cycle(
+                params, Point2(float(x[i]), float(y[i])), int(period[i]), reg_pts, clearance
+            )
+            if found is not None:
+                cycles.append(found)
+                pending = settle(pending, *found)
+            pending = pending[pending != i]
+        if on_cycle.any():
+            for p, count in zip(*np.unique(period[on_cycle], return_counts=True)):
+                cycle_cells[int(p)] = cycle_cells.get(int(p), 0) + int(count)
+            retire(on_cycle, UNKNOWN, step)
 
     # Initial escape check (step 0) before any iteration.
     escaped = (np.abs(x) > limits.escape_radius) | (np.abs(y) > limits.escape_radius)
     if escaped.any():
-        labels[idx[escaped]] = DIVERGENT
-        keep = ~escaped
-        x, y, idx = x[keep], y[keep], idx[keep]
-        candidate, run = candidate[keep], run[keep]
+        retire(escaped, DIVERGENT, 0)
     check_proximity(0)
 
     for step in range(1, limits.max_iter + 1):
@@ -224,14 +335,12 @@ def classify_batch(
             np.abs(y) > limits.escape_radius
         )
         if escaped.any():
-            labels[idx[escaped]] = DIVERGENT
-            iters[idx[escaped]] = step
-            keep = ~escaped
-            x, y, idx = x[keep], y[keep], idx[keep]
-            candidate, run = candidate[keep], run[keep]
+            retire(escaped, DIVERGENT, step)
         if idx.size == 0:
             break
         check_proximity(step)
+        if step % _CYCLE_CHECK_EVERY == 0 and step < limits.max_iter and idx.size:
+            check_cycles(step)
 
     iters[idx] = limits.max_iter
     return labels, iters
@@ -279,29 +388,36 @@ def raster(
     labels = np.empty((nx, ny), dtype=np.int32)
     iter_sum = 0
     iter_max = 0
+    cycle_cells: dict[int, int] = {}
     row_ids = list(range(ny))
 
-    def run_rows(rows: list[int]) -> tuple[int, int]:
+    def run_rows(rows: list[int]) -> tuple[int, int, dict[int, int]]:
         # One batch for the whole chunk; per-cell results are elementwise,
         # so chunking does not affect any label.
+        chunk_cycles: dict[int, int] = {}
         if not rows:
-            return 0, 0
+            return 0, 0, chunk_cycles
         pts = np.concatenate(
             [np.column_stack((xs, np.full(nx, ys[iy]))) for iy in rows]
         )
-        chunk_labels, chunk_iters = classify_batch(params, registry, pts, limits)
+        chunk_labels, chunk_iters = classify_batch(
+            params, registry, pts, limits, cycle_cells=chunk_cycles
+        )
         for pos, iy in enumerate(rows):
             labels[:, iy] = chunk_labels[pos * nx : (pos + 1) * nx]
-        return int(chunk_iters.sum()), int(chunk_iters.max())
+        return int(chunk_iters.sum()), int(chunk_iters.max()), chunk_cycles
 
     if threads <= 1:
-        iter_sum, iter_max = run_rows(row_ids)
+        parts = [run_rows(row_ids)]
     else:
         chunks = [row_ids[i::threads] for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part_sum, part_max in pool.map(run_rows, chunks):
-                iter_sum += part_sum
-                iter_max = max(iter_max, part_max)
+            parts = list(pool.map(run_rows, chunks))
+    for part_sum, part_max, part_cycles in parts:
+        iter_sum += part_sum
+        iter_max = max(iter_max, part_max)
+        for period, count in part_cycles.items():
+            cycle_cells[period] = cycle_cells.get(period, 0) + count
 
     total = nx * ny
     stats = IterationStats(
@@ -311,6 +427,7 @@ def raster(
         unknown=int((labels == UNKNOWN).sum()),
         max_iterations=iter_max,
         mean_iterations=iter_sum / total,
+        cycle_cells=dict(sorted(cycle_cells.items())),
     )
     return BasinGrid(window=window, nx=nx, ny=ny, labels=labels, stats=stats)
 

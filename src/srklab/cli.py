@@ -368,9 +368,13 @@ def cmd_basins(config: ExperimentConfig) -> int:
     _write(os.path.join(config.output_dir, "stats.csv"), "\n".join(lines) + "\n")
     if config.section.get("write_labels", False):
         _write(os.path.join(config.output_dir, "labels.csv"), labels_csv(grid))
+    cycles = grid.stats.cycle_cells
+    by_period = ", ".join(f"period {p}: {n}" for p, n in cycles.items())
     print(
         f"raster {nx}x{ny}: {grid.stats.classified} classified, "
-        f"{grid.stats.unknown} unknown, {grid.stats.divergent} divergent"
+        f"{grid.stats.unknown} unknown, {grid.stats.divergent} divergent; "
+        f"{sum(cycles.values())} unknown retired on unregistered cycles"
+        + (f" ({by_period})" if cycles else "")
     )
     return EXIT_OK
 

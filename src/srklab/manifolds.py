@@ -691,7 +691,7 @@ def curves_to_csv(curves: list[ManifoldCurve]) -> str:
     lines = ["branch_id,point_index,x,y"]
     for curve in curves:
         for i, (x, y) in enumerate(curve.points):
-            lines.append(f"{curve.branch_index},{i},{x!r},{y!r}")
+            lines.append(f"{curve.branch_index},{i},{float(x)!r},{float(y)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -50,9 +50,12 @@ class AsymptoticPrediction:
 def orbit_jacobian(params: MapParams, points: Sequence[Point2]) -> Jacobian2:
     """Ordered Jacobian product Df(p_{n-1}) ... Df(p_0) over one period.
 
-    The empty product is the identity.  Entries grow like |sigma|**n, so
-    the product is reliable roughly up to n ~ 150 for |sigma| = 1.25
-    (beyond that sigma**n overflows double precision).
+    The empty product is the identity.  Entries grow like |sigma|**n,
+    far below overflow at any period a scan reaches; the product is only
+    as accurate as the points.  For |sigma| = 1.25 the closed-form SR_k
+    orbits lose their above-strip point near k ~ 150-170, where
+    ``y_star + u`` rounds to ``y_star``, and the product taken over
+    those points mislabels the orbit.
     """
     total = Jacobian2.identity()
     for p in points:

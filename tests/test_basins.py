@@ -8,6 +8,7 @@ from srklab import (
     InvalidWindowError,
     Point2,
     Rect,
+    eval_map,
     iterate,
     newton_periodic,
     scan_srk,
@@ -38,6 +39,36 @@ WINDOW = Rect(-0.5, 1.5, -0.5, 1.5)
 def pp_registry(pp):
     result = scan_srk(pp, 0, 15)
     return AttractorRegistry.from_orbits(pp, result.orbits)
+
+
+def reference_classify(params, registry, points, limits):
+    """Per-cell scalar oracle: eval_map and a brute-force max-norm proximity
+    run, with no early retirement of cycles and no proximity prefilter."""
+    reg, owner, period = registry.all_points()
+    bound = limits.prox_tol * (1.0 + 1e-12)
+    radius = limits.escape_radius
+    labels = np.full(len(points), UNKNOWN, dtype=np.int32)
+    iters = np.full(len(points), limits.max_iter, dtype=np.int64)
+    for i, (px, py) in enumerate(points):
+        p = Point2(float(px), float(py))
+        candidate, run = -1, 0
+        for step in range(limits.max_iter + 1):
+            if step:
+                p = eval_map(params, p)
+            if not (abs(p.x) <= radius and abs(p.y) <= radius):  # NaN escapes too
+                labels[i], iters[i] = DIVERGENT, step
+                break
+            dist = np.maximum(np.abs(reg[:, 0] - p.x), np.abs(reg[:, 1] - p.y))
+            j = int(np.argmin(dist))
+            if dist[j] >= bound:
+                candidate, run = -1, 0
+                continue
+            run = run + 1 if owner[j] == candidate else 1
+            candidate = int(owner[j])
+            if run >= period[j]:
+                labels[i], iters[i] = candidate, step
+                break
+    return labels, iters
 
 
 def read_ppm(path: str) -> tuple[int, int, np.ndarray]:
@@ -92,6 +123,84 @@ class TestClassify:
         # More budget can only resolve unknowns, never unclassify.
         changed = small != large
         assert np.all(small[changed] == UNKNOWN)
+
+
+class TestEngineEquivalence:
+    """Early cycle retirement and the proximity prefilter change no label."""
+
+    @pytest.mark.parametrize("name", ["pn", "nn"])
+    def test_labels_match_scalar_reference(self, name):
+        params = EXAMPLE_CASES[name]
+        registry = AttractorRegistry.from_orbits(params, scan_srk(params, 0, 15).orbits)
+        limits = ClassifyLimits(max_iter=3000)
+        xs, ys = grid_centers(WINDOW, 16, 16)
+        pts = np.column_stack([a.ravel() for a in np.meshgrid(xs, ys)])
+        cycle_cells = {}
+        labels, iters = classify_batch(params, registry, pts, limits, cycle_cells=cycle_cells)
+        expected, _ = reference_classify(params, registry, pts, limits)
+        assert np.array_equal(labels, expected)
+        retired = (labels == UNKNOWN) & (iters < limits.max_iter)
+        assert retired.any()
+        assert sum(cycle_cells.values()) == int(retired.sum())
+
+    def test_registry_wins_over_retirement(self, pp, pp_registry):
+        [sr8] = scan_srk(pp, 8, 8).stable_orbits()
+        pts = np.array([(p.x, p.y) for p in sr8.points])
+        limits = ClassifyLimits(max_iter=1000)
+
+        low = AttractorRegistry.from_orbits(pp, scan_srk(pp, 0, 5).orbits)
+        cycle_cells = {}
+        labels, iters = classify_batch(pp, low, pts, limits, cycle_cells=cycle_cells)
+        assert np.all(labels == UNKNOWN)
+        assert np.all(iters < limits.max_iter)
+        assert cycle_cells == {9: 9}
+
+        # A registry point 5 * prox_tol from the cycle keeps its cells running.
+        offset = 5 * limits.prox_tol
+        low.entries.append(
+            Attractor(len(low), "near", pts[:1] + offset, 1, (1, 2, 3))
+        )
+        cycle_cells = {}
+        labels, iters = classify_batch(pp, low, pts, limits, cycle_cells=cycle_cells)
+        assert np.all(labels == UNKNOWN)
+        assert np.all(iters == limits.max_iter)
+        assert cycle_cells == {}
+
+        entry = next(e for e in pp_registry.entries if e.label == "sr8")
+        cycle_cells = {}
+        labels, _ = classify_batch(pp, pp_registry, pts, limits, cycle_cells=cycle_cells)
+        assert np.all(labels == entry.id)
+        assert cycle_cells == {}
+
+    def test_prefilter_boundary(self, pp):
+        tol = 2.0**-17  # exact sums with the coordinates below
+        registry = AttractorRegistry()
+        registry.add(pp, [Point2(1.0, 1.0)], label="fp")
+        # Period-1 stand-ins: one sharing the fixed point's x, one far off.
+        for i, (x, y) in enumerate([(1.0, 1.0 + 4 * tol), (1.5, 0.5)], start=1):
+            registry.entries.append(
+                Attractor(i, f"p{i}", np.array([[x, y]]), 1, (i, 3, 3))
+            )
+        beyond = tol + 4 * np.spacing(1.0)  # the next few doubles past 1 + tol
+        offsets = [
+            (d * sx, 0.0) for d in (tol, beyond) for sx in (1, -1)
+        ] + [
+            (0.0, -d) for d in (tol, beyond)
+        ] + [
+            (d * sx, -d) for d in (tol, beyond) for sx in (1, -1)
+        ]
+        pts = [(1.0 + dx, 1.0 + dy) for dx, dy in offsets]
+        pts += [(1.0 + dx, 1.0 + 4 * tol - dy) for dx, dy in offsets]
+        pts += [(1.0, 0.5), (1.5 + tol, 1.0 + 4 * tol)]  # x of one point, y of another
+        pts = np.array(pts)
+        limits = ClassifyLimits(max_iter=50, prox_tol=tol)
+        labels, iters = classify_batch(pp, registry, pts, limits)
+        expected, expected_iters = reference_classify(pp, registry, pts, limits)
+        assert np.array_equal(labels, expected)
+        assert np.array_equal(iters, expected_iters)
+        hit_at_start = iters == 0
+        at_tol = np.array([max(abs(dx), abs(dy)) == tol for dx, dy in offsets] * 2 + [False] * 2)
+        assert np.array_equal(hit_at_start, at_tol)
 
 
 class TestRaster:

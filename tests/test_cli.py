@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from srklab.cli import EXIT_CONFIG, EXIT_HYPOTHESIS_FAIL, EXIT_IO, EXIT_OK, main
 
 PP_PARAMS = {"lambda": 0.8, "sigma": 1.25, "c2": -0.5, "d1": 1.0, "d5": 1.0}
 NP_PARAMS = {"lambda": -0.8, "sigma": 1.25, "c2": -0.5, "d1": -1.0, "d5": 1.0}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name, body):
@@ -223,6 +226,17 @@ class TestManifolds:
         assert main(["manifolds", "--config", cfg]) == EXIT_OK
         rows = (tmp_path / "out" / "tangencies.csv").read_text().strip().splitlines()[1:]
         assert not any(abs(float(r.split(",")[0]) - 1.0) <= 1e-3 for r in rows)
+
+    def test_curve_csv_fields_are_plain_numbers(self, tmp_path):
+        config = CONFIG_DIR / "pp" / "manifolds.json"
+        out = tmp_path / "out"
+        assert main(["manifolds", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        for name in ("unstable.csv", "stable.csv"):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows, name
+            for row in rows:
+                float(row["x"]), float(row["y"])  # raises on e.g. "np.float64(0.1)"
 
 
 class TestBasins:
