@@ -63,7 +63,6 @@ from .theory import (
     GrowthDiagnostic,
     TheoryReport,
     Verdict,
-    discriminant,
     full_report,
     stability_margin,
     trace_growth_experiment,

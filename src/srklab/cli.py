@@ -23,11 +23,13 @@ from .basins import (
     raster,
     write_ppm,
 )
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, DegenerateCoefficientsError, InsufficientDataError
 from .manifolds import (
     DEFAULT_MAX_ANGLE,
     DEFAULT_MAX_GAP,
     DEFAULT_POINT_BUDGET,
+    DEFAULT_STABLE_SEED,
+    DEFAULT_UNSTABLE_SEED,
     curves_to_csv,
     detect_tangencies,
     tangencies_to_csv,
@@ -44,24 +46,107 @@ EXIT_HYPOTHESIS_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-_COMMAND_SECTIONS = ("orbits", "theory", "manifolds", "basins")
-_TOP_KEYS = {"params", "output_dir", "seed", *_COMMAND_SECTIONS}
+_LIMITS = ClassifyLimits()
+
+# Every key of every command section as (kind, bound, default); _EXPECTED
+# says what each kind accepts.
+_SCHEMA: dict[str, dict[str, tuple[str, Any, Any]]] = {
+    "orbits": {"k_min": ("int", 0, 0), "k_max": ("int", 0, 15)},
+    "theory": {
+        "perturbations": ("perturbations", None, ()),
+        "growth_k_min": ("int", 0, 6),
+        "growth_k_max": ("int", 0, 16),
+    },
+    "manifolds": {
+        "n_images": ("int", 1, 45),
+        "depth": ("int", 0, 2),
+        "clip": ("rect", None, Rect(-1.0, 2.5, -1.5, 2.0)),
+        "max_gap": ("float", 0.0, DEFAULT_MAX_GAP),
+        "max_angle": ("float", 0.0, DEFAULT_MAX_ANGLE),
+        "point_budget": ("int", 1, DEFAULT_POINT_BUDGET),
+        "axis_tol": ("float", 0.0, 1e-3),
+        "unstable_seed": ("float", 0.0, DEFAULT_UNSTABLE_SEED),
+        "stable_seed": ("float", 0.0, DEFAULT_STABLE_SEED),
+    },
+    "basins": {
+        "window": ("rect", None, Rect(-0.5, 1.5, -0.5, 1.5)),
+        "resolution": ("resolution", 2, (200, 200)),
+        "max_iter": ("int", 1, _LIMITS.max_iter),
+        "escape_radius": ("float", 0.0, _LIMITS.escape_radius),
+        "prox_tol": ("float", 0.0, _LIMITS.prox_tol),
+        "registry": ("str", None, "auto"),
+        "k_min": ("int", 0, 0),
+        "k_max": ("int", 0, 15),
+        "write_labels": ("bool", None, False),
+    },
+}
+_EXPECTED = {
+    "int": "an integer >= {}",
+    "float": "a finite number > {}",
+    "bool": "true or false",
+    "str": "a string",
+    "rect": "a non-empty [xmin, xmax, ymin, ymax] of finite numbers",
+    "resolution": "[nx, ny] with integers >= {}",
+    "perturbations": "a list of non-empty {{param: finite number}} objects",
+}
+_TOP_KEYS = {"params", "output_dir", *_SCHEMA}
 
 
 @dataclass
 class ExperimentConfig:
     params: MapParams
-    section_name: str
     section: dict[str, Any]
     output_dir: str
-    seed: int = 0
     threads: int = 1
 
 
-def _require_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+def _finite(value: Any) -> bool:
+    """Whether ``value`` is a JSON number (not a bool) that is a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _check_value(kind: str, bound: Any, value: Any, key: str) -> Any:
+    """One value checked against its schema entry; returns it parsed."""
+    if kind == "int":
+        ok = type(value) is int and value >= bound  # bool is not accepted
+    elif kind == "float":
+        ok = _finite(value) and value > bound
+    elif kind == "bool" or kind == "str":
+        ok = isinstance(value, bool if kind == "bool" else str)
+    elif kind == "rect":
+        ok = isinstance(value, list) and len(value) == 4 and all(map(_finite, value))
+        ok = ok and not Rect(*map(float, value)).is_empty()
+    elif kind == "resolution":
+        ok = isinstance(value, list) and len(value) == 2
+        ok = ok and all(type(v) is int and v >= bound for v in value)
+    else:  # perturbations; MapParams.replace checks the parameter names
+        ok = isinstance(value, list) and all(
+            isinstance(e, dict) and e and all(map(_finite, e.values())) for e in value
+        )
+    if not ok:
+        expected = _EXPECTED[kind].format(bound)
+        raise ConfigError(f"'{key}' must be {expected}, got {value!r}")
+    if kind == "rect":
+        return Rect(*map(float, value))
+    return float(value) if kind == "float" else value
+
+
+def _check_section(name: str, section: Any) -> dict[str, Any]:
+    """The section with every key checked and every absent key defaulted."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"section '{name}' must be a JSON object")
+    schema = _SCHEMA[name]
+    unknown = sorted(set(section) - set(schema))
     if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in {where}")
+        raise ConfigError(f"unknown key '{unknown[0]}' in '{name}' section")
+    filled = {
+        key: _check_value(kind, bound, section[key], key) if key in section else default
+        for key, (kind, bound, default) in schema.items()
+    }
+    for low, high in (("k_min", "k_max"), ("growth_k_min", "growth_k_max")):
+        if low in filled and filled[low] > filled[high]:
+            raise ConfigError(f"'{low}' must not exceed '{high}'")
+    return filled
 
 
 def load_config(path: str, expected_section: str) -> ExperimentConfig:
@@ -69,7 +154,8 @@ def load_config(path: str, expected_section: str) -> ExperimentConfig:
 
     The file must contain ``params``, ``output_dir``, and exactly one
     command section, which must match the subcommand being run.  Unknown
-    keys anywhere are rejected.
+    keys anywhere are rejected, and the returned section holds every key
+    of that command, checked or defaulted per ``_SCHEMA``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,10 +166,12 @@ def load_config(path: str, expected_section: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys(raw, _TOP_KEYS, "config")
-    if "params" not in raw:
-        raise ConfigError("config must define 'params'")
-    sections = [name for name in _COMMAND_SECTIONS if name in raw]
+    unknown = sorted(set(raw) - _TOP_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}' in config")
+    if not isinstance(raw.get("params"), dict):
+        raise ConfigError("config must define 'params' as a JSON object")
+    sections = [name for name in _SCHEMA if name in raw]
     if len(sections) != 1:
         raise ConfigError(
             f"config must contain exactly one command section, found {sections or 'none'}"
@@ -93,79 +181,32 @@ def load_config(path: str, expected_section: str) -> ExperimentConfig:
             f"config section '{sections[0]}' does not match subcommand "
             f"'{expected_section}'"
         )
+    for key, value in raw["params"].items():
+        if not _finite(value):
+            raise ConfigError(f"param '{key}' must be a finite number, got {value!r}")
     try:
         params = MapParams.from_dict(raw["params"])
     except (ValueError, TypeError) as err:
         raise ConfigError(f"bad params: {err}") from err
-    section = raw[sections[0]]
-    if not isinstance(section, dict):
-        raise ConfigError(f"section '{sections[0]}' must be a JSON object")
     return ExperimentConfig(
         params=params,
-        section_name=sections[0],
-        section=section,
-        output_dir=str(raw.get("output_dir", "out")),
-        seed=int(raw.get("seed", 0)),
+        section=_check_section(expected_section, raw[expected_section]),
+        output_dir=_check_value("str", None, raw.get("output_dir", "out"), "output_dir"),
     )
 
 
-def _parse_rect(value: Any, where: str) -> Rect:
-    if not (isinstance(value, (list, tuple)) and len(value) == 4):
-        raise ConfigError(f"'{where}' must be [xmin, xmax, ymin, ymax]")
-    rect = Rect(*(float(v) for v in value))
-    if rect.is_empty():
-        raise ConfigError(f"'{where}' is empty")
-    return rect
-
-
-def _int_field(section: dict, key: str, default: int | None, where: str) -> int:
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing '{key}' in {where}")
-        return default
-    try:
-        return int(section[key])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad '{key}' in {where}: {err}") from err
-
-
-def _float_field(section: dict, key: str, default: float, where: str) -> float:
-    try:
-        return float(section.get(key, default))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad '{key}' in {where}: {err}") from err
-
-
 def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise _IoFailure(str(err)) from err
-
-
-class _IoFailure(Exception):
-    pass
-
-
-def _ensure_outdir(config: ExperimentConfig) -> None:
-    try:
-        os.makedirs(config.output_dir, exist_ok=True)
-    except OSError as err:
-        raise _IoFailure(str(err)) from err
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_find_orbits(config: ExperimentConfig) -> int:
-    _require_keys(config.section, {"k_min", "k_max"}, "'orbits' section")
-    k_min = _int_field(config.section, "k_min", 0, "'orbits'")
-    k_max = _int_field(config.section, "k_max", 15, "'orbits'")
-    if k_min > k_max:
-        raise ConfigError("'k_min' must not exceed 'k_max'")
+    k_min, k_max = config.section["k_min"], config.section["k_max"]
     result = scan_srk(config.params, k_min, k_max)
-    _ensure_outdir(config)
+    os.makedirs(config.output_dir, exist_ok=True)
     _write(os.path.join(config.output_dir, "orbits.csv"), orbits_to_csv(result.orbits))
 
     lines = ["k,branch,status,stability,trace,det"]
@@ -185,21 +226,13 @@ def cmd_find_orbits(config: ExperimentConfig) -> int:
 
 
 def cmd_check_theory(config: ExperimentConfig) -> int:
-    allowed = {"perturbations", "growth_k_min", "growth_k_max"}
-    _require_keys(config.section, allowed, "'theory' section")
     report = full_report(config.params)
-    _ensure_outdir(config)
+    os.makedirs(config.output_dir, exist_ok=True)
 
     blocks = [report.to_text()]
     payload: dict[str, Any] = {"report": report.to_dict(), "growth": []}
-    perturbations = config.section.get("perturbations", [])
-    if not isinstance(perturbations, list):
-        raise ConfigError("'perturbations' must be a list of {param: value} objects")
-    k_lo = _int_field(config.section, "growth_k_min", 6, "'theory'")
-    k_hi = _int_field(config.section, "growth_k_max", 16, "'theory'")
-    for entry in perturbations:
-        if not isinstance(entry, dict) or not entry:
-            raise ConfigError("each perturbation must be a non-empty object")
+    k_lo, k_hi = config.section["growth_k_min"], config.section["growth_k_max"]
+    for entry in config.section["perturbations"]:
         try:
             perturbed = config.params.replace(
                 **{("lam" if k == "lambda" else k): float(v) for k, v in entry.items()}
@@ -238,48 +271,30 @@ def cmd_check_theory(config: ExperimentConfig) -> int:
 
 
 def cmd_manifolds(config: ExperimentConfig) -> int:
-    allowed = {
-        "n_images",
-        "depth",
-        "clip",
-        "max_gap",
-        "max_angle",
-        "point_budget",
-        "axis_tol",
-        "unstable_seed",
-        "stable_seed",
-    }
-    _require_keys(config.section, allowed, "'manifolds' section")
-    clip = _parse_rect(config.section.get("clip", [-1.0, 2.5, -1.5, 2.0]), "clip")
-    n_images = _int_field(config.section, "n_images", 45, "'manifolds'")
-    depth = _int_field(config.section, "depth", 2, "'manifolds'")
-    max_gap = _float_field(config.section, "max_gap", DEFAULT_MAX_GAP, "'manifolds'")
-    max_angle = _float_field(config.section, "max_angle", DEFAULT_MAX_ANGLE, "'manifolds'")
-    budget = _int_field(config.section, "point_budget", DEFAULT_POINT_BUDGET, "'manifolds'")
-    axis_tol = _float_field(config.section, "axis_tol", 1e-3, "'manifolds'")
-    unstable_seed = _float_field(config.section, "unstable_seed", 1e-4, "'manifolds'")
-    stable_seed = _float_field(config.section, "stable_seed", 1.0, "'manifolds'")
-
+    section = config.section
     unstable = trace_unstable(
         config.params,
-        n_images,
-        clip,
-        seed_scale=unstable_seed,
-        max_gap=max_gap,
-        max_angle=max_angle,
-        point_budget=budget,
+        section["n_images"],
+        section["clip"],
+        seed_scale=section["unstable_seed"],
+        max_gap=section["max_gap"],
+        max_angle=section["max_angle"],
+        point_budget=section["point_budget"],
     )
-    stable = trace_stable(
-        config.params,
-        depth,
-        clip,
-        seed_scale=stable_seed,
-        max_gap=max_gap,
-        point_budget=budget,
-    )
-    hits = detect_tangencies(unstable, axis_tol)
+    try:
+        stable = trace_stable(
+            config.params,
+            section["depth"],
+            section["clip"],
+            seed_scale=section["stable_seed"],
+            max_gap=section["max_gap"],
+            point_budget=section["point_budget"],
+        )
+    except DegenerateCoefficientsError as err:
+        raise ConfigError(f"cannot trace the stable set: {err}") from err
+    hits = detect_tangencies(unstable, section["axis_tol"])
 
-    _ensure_outdir(config)
+    os.makedirs(config.output_dir, exist_ok=True)
     _write(os.path.join(config.output_dir, "unstable.csv"), curves_to_csv([unstable]))
     _write(os.path.join(config.output_dir, "stable.csv"), curves_to_csv(stable))
     _write(os.path.join(config.output_dir, "tangencies.csv"), tangencies_to_csv(hits))
@@ -295,42 +310,21 @@ def cmd_manifolds(config: ExperimentConfig) -> int:
 
 
 def cmd_basins(config: ExperimentConfig) -> int:
-    allowed = {
-        "window",
-        "resolution",
-        "max_iter",
-        "escape_radius",
-        "prox_tol",
-        "registry",
-        "k_min",
-        "k_max",
-        "write_labels",
-    }
-    _require_keys(config.section, allowed, "'basins' section")
-    window = _parse_rect(config.section.get("window", [-0.5, 1.5, -0.5, 1.5]), "window")
-    resolution = config.section.get("resolution", [200, 200])
-    if not (isinstance(resolution, (list, tuple)) and len(resolution) == 2):
-        raise ConfigError("'resolution' must be [nx, ny]")
-    nx, ny = int(resolution[0]), int(resolution[1])
-    if nx < 2 or ny < 2:
-        raise ConfigError("'resolution' must be at least 2x2")
+    section = config.section
+    nx, ny = section["resolution"]
     limits = ClassifyLimits(
-        max_iter=_int_field(config.section, "max_iter", 20000, "'basins'"),
-        escape_radius=_float_field(config.section, "escape_radius", 10.0, "'basins'"),
-        prox_tol=_float_field(config.section, "prox_tol", 1e-5, "'basins'"),
+        max_iter=section["max_iter"],
+        escape_radius=section["escape_radius"],
+        prox_tol=section["prox_tol"],
     )
-    source = config.section.get("registry", "auto")
-    if source == "auto":
-        k_min = _int_field(config.section, "k_min", 0, "'basins'")
-        k_max = _int_field(config.section, "k_max", 15, "'basins'")
-        result = scan_srk(config.params, k_min, k_max)
+    if section["registry"] == "auto":
+        result = scan_srk(config.params, section["k_min"], section["k_max"])
         registry = AttractorRegistry.from_orbits(config.params, result.orbits)
     else:
+        with open(section["registry"], "r", encoding="utf-8") as fh:
+            text = fh.read()  # an OSError here is an I/O failure, exit 3
         try:
-            with open(str(source), "r", encoding="utf-8") as fh:
-                rows = orbits_from_csv(fh.read())
-        except OSError as err:
-            raise _IoFailure(f"cannot read registry CSV: {err}") from err
+            rows = orbits_from_csv(text)
         except ValueError as err:
             raise ConfigError(f"bad registry CSV: {err}") from err
         registry = AttractorRegistry()
@@ -347,14 +341,10 @@ def cmd_basins(config: ExperimentConfig) -> int:
         raise ConfigError("registry contains no attractors")
 
     grid = raster(
-        config.params, registry, window, nx, ny, limits, threads=config.threads
+        config.params, registry, section["window"], nx, ny, limits, threads=config.threads
     )
-    _ensure_outdir(config)
-    write_path = os.path.join(config.output_dir, "basins.ppm")
-    try:
-        write_ppm(grid, registry, write_path)
-    except OSError as err:
-        raise _IoFailure(str(err)) from err
+    os.makedirs(config.output_dir, exist_ok=True)
+    write_ppm(grid, registry, os.path.join(config.output_dir, "basins.ppm"))
     _write(os.path.join(config.output_dir, "legend.csv"), legend_csv(registry))
     fractions = basin_fractions(grid)
     lines = ["label,cells,fraction"]
@@ -366,7 +356,7 @@ def cmd_basins(config: ExperimentConfig) -> int:
         cells = round(fractions[label] * nx * ny)
         lines.append(f"{name},{cells},{fractions[label]!r}")
     _write(os.path.join(config.output_dir, "stats.csv"), "\n".join(lines) + "\n")
-    if config.section.get("write_labels", False):
+    if section["write_labels"]:
         _write(os.path.join(config.output_dir, "labels.csv"), labels_csv(grid))
     cycles = grid.stats.cycle_cells
     by_period = ", ".join(f"period {p}: {n}" for p, n in cycles.items())
@@ -402,10 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--out", help="override output directory")
-        cmd.add_argument("--threads", type=int, default=1)
-        cmd.add_argument(
-            "--resolution", help="override basin resolution, e.g. 200x200"
-        )
+        if name == "basins":
+            cmd.add_argument("--threads", type=int, default=1, help="raster threads")
+            cmd.add_argument("--resolution", help="override the grid, e.g. 200x200")
     return parser
 
 
@@ -416,20 +405,24 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, section_name)
         if args.out:
             config.output_dir = args.out
-        config.threads = max(1, args.threads)
-        if args.resolution:
-            if args.command != "basins":
-                raise ConfigError("--resolution applies only to the basins command")
-            try:
-                nx, ny = (int(v) for v in args.resolution.lower().split("x"))
-            except ValueError as err:
-                raise ConfigError(f"bad --resolution: {args.resolution}") from err
-            config.section["resolution"] = [nx, ny]
+        if args.command == "basins":
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+            config.threads = args.threads
+            if args.resolution:
+                try:
+                    value = [int(v) for v in args.resolution.lower().split("x")]
+                except ValueError as err:
+                    raise ConfigError(f"bad --resolution: {args.resolution}") from err
+                kind, bound, _ = _SCHEMA["basins"]["resolution"]
+                config.section["resolution"] = _check_value(
+                    kind, bound, value, "--resolution"
+                )
         return handler(config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except _IoFailure as err:
+    except OSError as err:  # output or registry files; load_config maps its own
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -48,6 +48,8 @@ __all__ = [
 DEFAULT_MAX_GAP = 1e-2
 DEFAULT_MAX_ANGLE = 0.2
 DEFAULT_POINT_BUDGET = 2_000_000
+DEFAULT_UNSTABLE_SEED = 1e-4
+DEFAULT_STABLE_SEED = 1.0
 _PAD_FRACTION = 0.1
 _FREEZE_RADIUS = 1e9
 _MAX_ROUNDS = 60
@@ -98,11 +100,13 @@ def invert_saddle(params: MapParams, q: Point2) -> Point2:
     return Point2(q.x / params.lam, q.y / params.sigma)
 
 
-def invert_return(params: MapParams, q: Point2) -> Point2:
-    """Exact inverse of the return piece (quadratic-tangency shape only).
+def _return_inverse(params: MapParams, x, y):
+    """Inverse of the return piece at (x, y); floats and ndarrays alike.
 
-    Solves x' = x_star + c2*(y - y_star) for y, then the y-row for x.
-    Requires c2 != 0, d1 != 0 and the pure-family shape c1 = d3 = d4 = 0.
+    Solves the x-row x = x_star + c2*u for u = y' - y_star, then the
+    y-row for x'.  Exact only for c2 != 0, d1 != 0 and the pure-family
+    shape c1 = d3 = d4 = 0; raises ``DegenerateCoefficientsError``
+    otherwise.
     """
     if params.c2 == 0.0 or params.d1 == 0.0:
         raise DegenerateCoefficientsError("invert_return requires c2 != 0 and d1 != 0")
@@ -110,9 +114,13 @@ def invert_return(params: MapParams, q: Point2) -> Point2:
         raise DegenerateCoefficientsError(
             "invert_return supports only c1 = d3 = d4 = 0"
         )
-    u = (q.x - params.x_star) / params.c2
-    x = (q.y - params.d2 * u - params.d5 * u * u) / params.d1
-    return Point2(x, params.y_star + u)
+    u = (x - params.x_star) / params.c2
+    return (y - params.d2 * u - params.d5 * u * u) / params.d1, params.y_star + u
+
+
+def invert_return(params: MapParams, q: Point2) -> Point2:
+    """Exact inverse of the return piece (quadratic-tangency shape only)."""
+    return Point2(*_return_inverse(params, q.x, q.y))
 
 
 def _newton_preimage(
@@ -196,6 +204,28 @@ def _iterate_seeds(
     return np.column_stack((x, y))
 
 
+def _inside(points: np.ndarray, rect: Rect) -> np.ndarray:
+    """Mask of the rows of ``points`` inside ``rect``; NaN rows never are."""
+    x, y = points[:, 0], points[:, 1]
+    return (x >= rect.xmin) & (x <= rect.xmax) & (y >= rect.ymin) & (y <= rect.ymax)
+
+
+def _clip_polyline(points: np.ndarray, rect: Rect) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the polyline points kept by clipping, and their ``joined`` flags.
+
+    A finite point is kept when it or a neighbour lies inside ``rect``, so
+    curve pieces keep their window-crossing anchors; ``joined[i]`` says
+    whether kept points i and i+1 were adjacent.
+    """
+    inside = _inside(points, rect)
+    keep = inside.copy()
+    keep[:-1] |= inside[1:]
+    keep[1:] |= inside[:-1]
+    keep &= np.isfinite(points).all(axis=1)
+    kept_idx = np.flatnonzero(keep)
+    return kept_idx, np.diff(kept_idx) == 1
+
+
 def _needs_refinement(
     pts: np.ndarray, window: Rect, max_gap: float, max_angle: float
 ) -> np.ndarray:
@@ -203,12 +233,7 @@ def _needs_refinement(
     n = pts.shape[0]
     seg = np.zeros(n - 1, dtype=bool)
     finite = np.isfinite(pts).all(axis=1)
-    inside = (
-        (pts[:, 0] >= window.xmin)
-        & (pts[:, 0] <= window.xmax)
-        & (pts[:, 1] >= window.ymin)
-        & (pts[:, 1] <= window.ymax)
-    )
+    inside = _inside(pts, window)
     relevant = finite[:-1] & finite[1:] & (inside[:-1] | inside[1:])
 
     deltas = np.diff(pts, axis=0)
@@ -276,7 +301,7 @@ def trace_unstable(
     params: MapParams,
     n_images: int,
     clip: Rect,
-    seed_scale: float = 1e-4,
+    seed_scale: float = DEFAULT_UNSTABLE_SEED,
     max_gap: float = DEFAULT_MAX_GAP,
     max_angle: float = DEFAULT_MAX_ANGLE,
     point_budget: int = DEFAULT_POINT_BUDGET,
@@ -326,29 +351,14 @@ def trace_unstable(
     seed_t = np.concatenate(all_t)
     generation = np.concatenate(all_gen)
 
-    # Clip: keep points inside the padded window plus their immediate
-    # neighbours, so curve pieces keep their window-crossing anchors.
-    finite = np.isfinite(points).all(axis=1)
-    inside = (
-        (points[:, 0] >= window.xmin)
-        & (points[:, 0] <= window.xmax)
-        & (points[:, 1] >= window.ymin)
-        & (points[:, 1] <= window.ymax)
-        & finite
-    )
-    keep = inside.copy()
-    keep[:-1] |= inside[1:]
-    keep[1:] |= inside[:-1]
-    keep &= finite
-    kept_idx = np.flatnonzero(keep)
+    kept_idx, joined = _clip_polyline(points, window)
     points = points[kept_idx]
     seed_t = seed_t[kept_idx]
     generation = generation[kept_idx]
-    joined = (np.diff(kept_idx) == 1) if kept_idx.size > 1 else np.zeros(0, bool)
 
     deltas = np.diff(points, axis=0)
     gaps = np.hypot(deltas[:, 0], deltas[:, 1])
-    in_clip = np.array([clip.contains(px, py) for px, py in points])
+    in_clip = _inside(points, clip)
     counted = joined & in_clip[:-1] & in_clip[1:]
     arc_length = float(gaps[counted].sum()) if counted.any() else 0.0
     stats.max_gap = float(gaps[counted].max()) if counted.any() else 0.0
@@ -384,9 +394,7 @@ def _preimage_points(
         out[:, 1] = pts[:, 1] / params.sigma
         valid = out[:, 1] <= params.h0
     elif branch == "return":
-        u = (pts[:, 0] - params.x_star) / params.c2
-        out[:, 1] = params.y_star + u
-        out[:, 0] = (pts[:, 1] - params.d2 * u - params.d5 * u * u) / params.d1
+        out[:, 0], out[:, 1] = _return_inverse(params, pts[:, 0], pts[:, 1])
         valid = out[:, 1] >= params.h1
     elif branch == "blend":
         for i in range(n):
@@ -469,7 +477,7 @@ def trace_stable(
     params: MapParams,
     depth: int,
     clip: Rect,
-    seed_scale: float = 1.0,
+    seed_scale: float = DEFAULT_STABLE_SEED,
     max_gap: float = DEFAULT_MAX_GAP,
     point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> list[ManifoldCurve]:
@@ -481,6 +489,8 @@ def trace_stable(
     expanded through the three inverse branches (saddle piece, return
     piece, blend Newton), keeping preimages that land in the matching
     region and inside the clip window.  One curve per surviving branch.
+    Raises ``DegenerateCoefficientsError`` for depth >= 1 when the return
+    piece has no exact inverse (see ``invert_return``).
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -499,16 +509,10 @@ def trace_stable(
 
     def emit(node: _Node, inserted: int) -> None:
         nonlocal stats_total
-        pts = node.points
-        inside = np.array([window.contains(px, py) for px, py in pts])
-        keep = inside.copy()
-        keep[:-1] |= inside[1:]
-        keep[1:] |= inside[:-1]
-        kept_idx = np.flatnonzero(keep)
+        kept_idx, joined = _clip_polyline(node.points, window)
         if kept_idx.size < 2:
             return
-        kept = pts[kept_idx]
-        joined = np.diff(kept_idx) == 1
+        kept = node.points[kept_idx]
         deltas = np.diff(kept, axis=0)
         gaps = np.hypot(deltas[:, 0], deltas[:, 1])
         stats = RefinementStats(
@@ -551,10 +555,7 @@ def trace_stable(
                 both = valid[:-1] & valid[1:]
                 deltas = np.diff(pts, axis=0)
                 gaps = np.hypot(deltas[:, 0], deltas[:, 1])
-                inside = np.zeros(pts.shape[0], dtype=bool)
-                inside[valid] = np.array(
-                    [window.contains(px, py) for px, py in pts[valid]]
-                )
+                inside = _inside(pts, window)
                 need = both & (gaps > max_gap) & (inside[:-1] | inside[1:])
                 idx = np.flatnonzero(need)
                 if idx.size == 0:

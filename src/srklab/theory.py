@@ -31,7 +31,6 @@ __all__ = [
     "Verdict",
     "TheoryReport",
     "GrowthDiagnostic",
-    "discriminant",
     "stability_margin",
     "full_report",
     "trace_growth_experiment",
@@ -148,14 +147,6 @@ class TheoryReport:
             f"  overall            : {'PASS' if self.hypotheses_pass() else 'FAIL'}"
         )
         return "\n".join(lines)
-
-
-def discriminant(params: MapParams) -> float:
-    """Root discriminant of the single-round fixed-point problem.
-
-    Raises ``ZeroDivisionError`` when d1 = 0 (the formula divides by d1).
-    """
-    return params.discriminant()
 
 
 def stability_margin(params: MapParams) -> Verdict:

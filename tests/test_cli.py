@@ -1,18 +1,29 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from srklab.cli import EXIT_CONFIG, EXIT_HYPOTHESIS_FAIL, EXIT_IO, EXIT_OK, main
+from srklab.cli import _SCHEMA, EXIT_CONFIG, EXIT_HYPOTHESIS_FAIL, EXIT_IO, EXIT_OK, main
 
 PP_PARAMS = {"lambda": 0.8, "sigma": 1.25, "c2": -0.5, "d1": 1.0, "d5": 1.0}
 NP_PARAMS = {"lambda": -0.8, "sigma": 1.25, "c2": -0.5, "d1": -1.0, "d5": 1.0}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+COMMANDS = {
+    "orbits": "find-orbits",
+    "theory": "check-theory",
+    "manifolds": "manifolds",
+    "basins": "basins",
+}
 
 
 def write_config(tmp_path, name, body):
@@ -78,6 +89,99 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "bad.json", {"params": params, "orbits": {}})
         assert main(["find-orbits", "--config", cfg]) == EXIT_CONFIG
         assert "lambduh" in capsys.readouterr().err
+
+
+# (section, config entries besides output_dir, extra flags); each must exit 2.
+BAD_VALUES = [
+    pytest.param("basins", {"basins": {"resolution": ["a", 3]}}, [], id="resolution-str"),
+    pytest.param("basins", {"basins": {"window": ["a", 1, 0, 1]}}, [], id="window-str"),
+    pytest.param("orbits", {"orbits": {"k_min": -3}}, [], id="k_min-negative"),
+    pytest.param("orbits", {"orbits": {"k_max": 2.7}}, [], id="k_max-fraction"),
+    pytest.param("manifolds", {"manifolds": {"n_images": 0}}, [], id="n_images-zero"),
+    pytest.param("manifolds", {"manifolds": {"depth": -1}}, [], id="depth-negative"),
+    pytest.param("manifolds", {"manifolds": {"max_gap": 0}}, [], id="max_gap-zero"),
+    pytest.param(
+        "theory",
+        {"theory": {"growth_k_min": 20, "growth_k_max": 3}},
+        [],
+        id="growth-k-order",
+    ),
+    pytest.param(
+        "basins",
+        {"basins": {"resolution": [4, 4], "prox_tol": -1, "max_iter": -10}},
+        [],
+        id="prox_tol-max_iter-negative",
+    ),
+    pytest.param(
+        "basins", {"basins": {"resolution": [4, 4], "max_iter": True}}, [], id="max_iter-bool"
+    ),
+    pytest.param(
+        "basins",
+        {"basins": {"resolution": [4, 4], "escape_radius": float("nan")}},
+        [],
+        id="escape_radius-nan",
+    ),
+    pytest.param("orbits", {"orbits": {}, "seed": 0}, [], id="top-level-seed"),
+    pytest.param(
+        "manifolds",
+        {"manifolds": {"depth": 1}, "params": {**PP_PARAMS, "d3": 0.05}},
+        [],
+        id="no-return-inverse",
+    ),
+    pytest.param("basins", {"basins": {}}, ["--threads", "0"], id="threads-zero"),
+    pytest.param("basins", {"basins": {}}, ["--resolution", "1x20"], id="resolution-flag-1"),
+    pytest.param("basins", {"basins": {}}, ["--resolution", "ax20"], id="resolution-flag-str"),
+    pytest.param(
+        "orbits", {"orbits": {}}, ["--resolution", "20x20"], id="resolution-flag-not-basins"
+    ),
+]
+
+
+@pytest.mark.parametrize("section, body, flags", BAD_VALUES)
+def test_bad_value_exits_2(tmp_path, capsys, section, body, flags):
+    cfg = write_config(
+        tmp_path,
+        "bad.json",
+        {"params": PP_PARAMS, "output_dir": str(tmp_path / "out"), **body},
+    )
+    argv = [COMMANDS[section], "--config", cfg, *flags]
+    if section != "basins" and flags:
+        with pytest.raises(SystemExit) as exc:  # argparse usage error
+            main(argv)
+        code, expected = exc.value.code, "unrecognized arguments: --resolution"
+    else:
+        code, expected = main(argv), "config error: "
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert expected in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+HOSTILE = [-1, 0, 2.7, True, "x", None, [], {}, float("nan"), float("inf"), float("-inf")]
+SHIPPED = sorted(CONFIG_DIR.glob("*/*.json"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hostile_section_value_exits_0_or_2(data):
+    path = data.draw(st.sampled_from(SHIPPED), label="config")
+    body = json.loads(path.read_text())
+    section = path.stem
+    key = data.draw(st.sampled_from(sorted(_SCHEMA[section])), label="key")
+    if section == "basins":
+        body[section]["resolution"] = [4, 4]
+    body[section][key] = data.draw(st.sampled_from(HOSTILE), label="value")
+    sink = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(body, fh)
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main([COMMANDS[section], "--config", cfg, "--out", os.path.join(tmp, "out")])
+    # A string registry is a path: an unreadable one is an I/O error.
+    allowed = {EXIT_OK, EXIT_CONFIG} | ({EXIT_IO} if key == "registry" else set())
+    assert code in allowed
+    assert "Traceback" not in sink.getvalue()
 
 
 class TestFindOrbits:

@@ -207,6 +207,15 @@ class TestTraceStable:
         )
         assert d <= 1e-6
 
+    @pytest.mark.parametrize("override", [{"c1": 0.1}, {"d3": 0.05}, {"d4": 0.05}])
+    def test_no_closed_form_return_inverse_rejected(self, pp, override):
+        # Outside c1 = d3 = d4 = 0 the closed-form return inverse misses its
+        # target, so no preimage tree is grown; the seed segment needs none.
+        params = pp.replace(**override)
+        with pytest.raises(DegenerateCoefficientsError):
+            trace_stable(params, 1, CLIP)
+        assert len(trace_stable(params, 0, CLIP)) == 1
+
     def test_forward_consistency(self, all_cases):
         # Iterating any branch point forward by its depth lands on the
         # local stable axis within the fundamental wedge.

@@ -7,7 +7,6 @@ import pytest
 
 from srklab import InsufficientDataError, NegativeDiscriminantError
 from srklab.theory import (
-    discriminant,
     full_report,
     stability_margin,
     trace_growth_experiment,
@@ -17,20 +16,20 @@ from srklab.theory import (
 class TestDiscriminant:
     def test_example_cases(self, all_cases):
         for params in all_cases.values():
-            assert discriminant(params) == pytest.approx(2.25, rel=1e-14)
+            assert params.discriminant() == pytest.approx(2.25, rel=1e-14)
 
     def test_bare_head(self, pp):
         # Only the leading 1 survives when c1 = c2 = d3 = d4 = 0.
         params = pp.replace(c2=0.0)
-        assert discriminant(params) == pytest.approx(1.0, rel=1e-14)
+        assert params.discriminant() == pytest.approx(1.0, rel=1e-14)
 
     def test_no_real_root_regime(self, pp):
         params = pp.replace(c2=0.0, d3=1.0, c1=1.0)
-        assert discriminant(params) == pytest.approx(-7.0, rel=1e-14)
+        assert params.discriminant() == pytest.approx(-7.0, rel=1e-14)
 
     def test_d1_zero_division(self, pp):
         with pytest.raises(ZeroDivisionError):
-            discriminant(pp.replace(d1=0.0))
+            pp.replace(d1=0.0).discriminant()
 
 
 class TestStabilityMargin:
@@ -43,7 +42,7 @@ class TestStabilityMargin:
     def test_fail_on_the_right(self, pp):
         # c2*y*/x* = 0.3 with the discriminant pinned at 2.25 via d4.
         params = pp.replace(c2=0.3, d4=-0.8)
-        assert discriminant(params) == pytest.approx(2.25, rel=1e-13)
+        assert params.discriminant() == pytest.approx(2.25, rel=1e-13)
         assert not stability_margin(params).passed
 
     def test_fail_on_the_left_strict(self, pp):
