@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoefficientsError
+from .errors import DegenerateCoefficientsError, SingularJacobianError
 from .mapcore import (
     Point2,
     Rect,
     Region,
     eval_map,
     eval_map_arrays,
-    eval_return,
-    eval_saddle,
     jacobian,
     region_of,
 )
@@ -96,15 +94,15 @@ class TangencyHit:
 
 
 def invert_saddle(params: MapParams, q: Point2) -> Point2:
-    """Exact inverse of the linear saddle piece."""
+    """Exact inverse of the linear saddle piece; floats or arrays alike."""
     return Point2(q.x / params.lam, q.y / params.sigma)
 
 
-def _return_inverse(params: MapParams, x, y):
-    """Inverse of the return piece at (x, y); floats and ndarrays alike.
+def invert_return(params: MapParams, q: Point2) -> Point2:
+    """Exact inverse of the return piece; floats or arrays alike.
 
-    Solves the x-row x = x_star + c2*u for u = y' - y_star, then the
-    y-row for x'.  Exact only for c2 != 0, d1 != 0 and the pure-family
+    Solves the x-row q.x = x_star + c2*u for u = y - y_star, then the
+    y-row for x.  Exact only for c2 != 0, d1 != 0 and the pure-family
     shape c1 = d3 = d4 = 0; raises ``DegenerateCoefficientsError``
     otherwise.
     """
@@ -114,13 +112,8 @@ def _return_inverse(params: MapParams, x, y):
         raise DegenerateCoefficientsError(
             "invert_return supports only c1 = d3 = d4 = 0"
         )
-    u = (x - params.x_star) / params.c2
-    return (y - params.d2 * u - params.d5 * u * u) / params.d1, params.y_star + u
-
-
-def invert_return(params: MapParams, q: Point2) -> Point2:
-    """Exact inverse of the return piece (quadratic-tangency shape only)."""
-    return Point2(*_return_inverse(params, q.x, q.y))
+    u = (q.x - params.x_star) / params.c2
+    return Point2((q.y - params.d2 * u - params.d5 * u * u) / params.d1, params.y_star + u)
 
 
 def _newton_preimage(
@@ -133,15 +126,11 @@ def _newton_preimage(
     for iteration in range(max_iter):
         if res <= _BLEND_NEWTON_TOL:
             return p, iteration, res
-        jac = jacobian(params, p)
-        det = jac.det
-        if abs(det) < 1e-14 or not math.isfinite(det):
+        try:
+            dx, dy = jacobian(params, p).solve(q.x - img.x, q.y - img.y)
+        except SingularJacobianError:
             return p, iteration, res
-        rx, ry = q.x - img.x, q.y - img.y
-        p = Point2(
-            p.x + (jac.d * rx - jac.b * ry) / det,
-            p.y + (jac.a * ry - jac.c * rx) / det,
-        )
+        p = Point2(p.x + dx, p.y + dy)
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             return p, iteration + 1, math.inf
         img = eval_map(params, p)
@@ -390,11 +379,10 @@ def _preimage_points(
     n = pts.shape[0]
     out = np.full((n, 2), np.nan)
     if branch == "saddle":
-        out[:, 0] = pts[:, 0] / params.lam
-        out[:, 1] = pts[:, 1] / params.sigma
+        out[:, 0], out[:, 1] = invert_saddle(params, Point2(pts[:, 0], pts[:, 1]))
         valid = out[:, 1] <= params.h0
     elif branch == "return":
-        out[:, 0], out[:, 1] = _return_inverse(params, pts[:, 0], pts[:, 1])
+        out[:, 0], out[:, 1] = invert_return(params, Point2(pts[:, 0], pts[:, 1]))
         valid = out[:, 1] >= params.h1
     elif branch == "blend":
         for i in range(n):
@@ -550,14 +538,7 @@ def trace_stable(
                 if stats_total + child.points.shape[0] > point_budget:
                     budget_flag = True
                     break
-                pts = child.points
-                valid = np.isfinite(pts).all(axis=1)
-                both = valid[:-1] & valid[1:]
-                deltas = np.diff(pts, axis=0)
-                gaps = np.hypot(deltas[:, 0], deltas[:, 1])
-                inside = _inside(pts, window)
-                need = both & (gaps > max_gap) & (inside[:-1] | inside[1:])
-                idx = np.flatnonzero(need)
+                idx = np.flatnonzero(_needs_refinement(child.points, window, max_gap, math.inf))
                 if idx.size == 0:
                     break
                 cols = _pull_back_column(params, child, idx)

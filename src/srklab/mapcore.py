@@ -1,8 +1,11 @@
 """Exact evaluation of the piecewise map, its pieces, and Jacobians.
 
-All scalar operations are pure functions of ``MapParams`` and plain floats;
-``eval_map_arrays`` mirrors ``eval_map`` for numpy arrays so that rasters
-and manifold tracing can batch-iterate large point sets.
+Each formula of the map is written here once.  The piece functions
+(``eval_saddle``, ``eval_return``, ``blend_weight``, ``blend``) use plain
+operators, so they take a ``Point2`` of floats or of numpy arrays alike.
+``eval_map`` and ``eval_map_arrays`` select among the same piece
+functions, one point at a time or by region masks, so rasters and
+manifold tracing can batch-iterate large point sets with scalar results.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EscapeError, ResonanceFormUnavailableError
+from .errors import EscapeError, ResonanceFormUnavailableError, SingularJacobianError
 from .params import MapParams
 
 __all__ = [
@@ -24,6 +27,7 @@ __all__ = [
     "smoothstep_deriv",
     "blend_weight",
     "blend_weight_deriv",
+    "blend",
     "eval_saddle",
     "eval_return",
     "region_of",
@@ -35,6 +39,7 @@ __all__ = [
 ]
 
 _RESONANCE_TOL = 1e-12
+_SINGULAR_TOL = 1e-14
 
 
 class Point2(NamedTuple):
@@ -69,6 +74,17 @@ class Jacobian2(NamedTuple):
     @staticmethod
     def identity() -> "Jacobian2":
         return Jacobian2(1.0, 0.0, 0.0, 1.0)
+
+    def solve(self, rx: float, ry: float) -> tuple[float, float]:
+        """The (dx, dy) that this matrix maps to (rx, ry), by Cramer's rule.
+
+        Raises ``SingularJacobianError`` (``at_iterate`` None) when the
+        determinant is not finite or below 1e-14 in magnitude.
+        """
+        det = self.det
+        if not (math.isfinite(det) and abs(det) >= _SINGULAR_TOL):
+            raise SingularJacobianError(at_iterate=None)
+        return (self.d * rx - self.b * ry) / det, (self.a * ry - self.c * rx) / det
 
 
 class Region(Enum):
@@ -126,6 +142,13 @@ def blend_weight_deriv(params: MapParams, y: float) -> float:
     return smoothstep_deriv(z) / width
 
 
+def blend(r, p0, p1):
+    """Convex blend (1 - r)*p0 + r*p1, field by field, of two ``Point2``
+    or two ``Jacobian2`` values (floats or arrays)."""
+    s = 1.0 - r
+    return type(p0)(*(s * a + r * b for a, b in zip(p0, p1)))
+
+
 def eval_saddle(params: MapParams, p: Point2) -> Point2:
     """The linear piece (lam*x, sigma*y), active below the strip."""
     return Point2(params.lam * p.x, params.sigma * p.y)
@@ -160,13 +183,7 @@ def eval_map(params: MapParams, p: Point2) -> Point2:
         return eval_saddle(params, p)
     if region is Region.UPPER:
         return eval_return(params, p)
-    r = blend_weight(params, p.y)
-    p0 = eval_saddle(params, p)
-    p1 = eval_return(params, p)
-    return Point2(
-        (1.0 - r) * p0.x + r * p1.x,
-        (1.0 - r) * p0.y + r * p1.y,
-    )
+    return blend(blend_weight(params, p.y), eval_saddle(params, p), eval_return(params, p))
 
 
 def _saddle_jacobian(params: MapParams) -> Jacobian2:
@@ -197,16 +214,10 @@ def jacobian(params: MapParams, p: Point2) -> Jacobian2:
         return _return_jacobian(params, p)
     r = blend_weight(params, p.y)
     dr = blend_weight_deriv(params, p.y)
-    j0 = _saddle_jacobian(params)
-    j1 = _return_jacobian(params, p)
+    j = blend(r, _saddle_jacobian(params), _return_jacobian(params, p))
     p0 = eval_saddle(params, p)
     p1 = eval_return(params, p)
-    return Jacobian2(
-        (1.0 - r) * j0.a + r * j1.a,
-        (1.0 - r) * j0.b + r * j1.b + dr * (p1.x - p0.x),
-        (1.0 - r) * j0.c + r * j1.c,
-        (1.0 - r) * j0.d + r * j1.d + dr * (p1.y - p0.y),
-    )
+    return Jacobian2(j.a, j.b + dr * (p1.x - p0.x), j.c, j.d + dr * (p1.y - p0.y))
 
 
 def iterate(
@@ -265,26 +276,19 @@ def eval_map_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``eval_map`` over parallel coordinate arrays.
 
-    Elementwise identical to the scalar path: the same branch formulas are
-    selected per point, so results do not depend on batching.
+    Elementwise identical to the scalar path: region masks select per
+    point among the same piece functions, so results do not depend on
+    batching.
     """
-    u = y - params.y_star
-    sx = params.lam * x
-    sy = params.sigma * y
-    rx = params.x_star + params.c1 * x + params.c2 * u
-    ry = params.d1 * x + params.d2 * u + params.d3 * x * x + params.d4 * x * u + params.d5 * u * u
-
+    p = Point2(x, y)
+    p0 = eval_saddle(params, p)
+    p1 = eval_return(params, p)
     lower = y <= params.h0
-    upper = y >= params.h1
-    blend = ~(lower | upper)
-
-    out_x = np.where(lower, sx, rx)
-    out_y = np.where(lower, sy, ry)
-    if np.any(blend):
-        z = (y - params.h0) / (params.h1 - params.h0)
-        r = 3.0 * z * z - 2.0 * z * z * z
-        bx = (1.0 - r) * sx + r * rx
-        by = (1.0 - r) * sy + r * ry
-        out_x = np.where(blend, bx, out_x)
-        out_y = np.where(blend, by, out_y)
+    in_strip = ~(lower | (y >= params.h1))
+    out_x = np.where(lower, p0.x, p1.x)
+    out_y = np.where(lower, p0.y, p1.y)
+    if in_strip.any():
+        b = blend(blend_weight(params, y), p0, p1)
+        out_x = np.where(in_strip, b.x, out_x)
+        out_y = np.where(in_strip, b.y, out_y)
     return out_x, out_y

@@ -22,7 +22,7 @@ there) are re-solved with a damped Newton iteration on f^period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -34,7 +34,7 @@ from .errors import (
     NotMinimalError,
     SingularJacobianError,
 )
-from .mapcore import Jacobian2, Point2, Region, eval_map, eval_return, eval_saddle, jacobian, region_of
+from .mapcore import Jacobian2, Point2, Region, eval_map, eval_return, eval_saddle, region_of
 from .params import MapParams
 from .stability import StabilityClass, classify, orbit_jacobian
 
@@ -56,7 +56,6 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 20
 MINIMALITY_TOL = 1e-8
-_SINGULAR_TOL = 1e-14
 _NEWTON_ESCAPE = 1e6
 
 
@@ -168,20 +167,20 @@ def _single_round_violations(
     return bad
 
 
-def _full_map_residual(params: MapParams, points: Sequence[Point2]) -> float:
-    p = points[0]
-    for _ in range(len(points)):
-        p = eval_map(params, p)
-    return max(abs(p.x - points[0].x), abs(p.y - points[0].y))
+def _closing_residual(params: MapParams, p0: Point2, period: int) -> float:
+    """Max-norm distance |f^period(p0) - p0|, walking the full map once.
 
-
-def _check_minimality(params: MapParams, p0: Point2, period: int) -> None:
+    Raises ``NotMinimalError`` when the walk already returns to p0
+    (within ``MINIMALITY_TOL``) after a proper divisor of ``period``.
+    """
     p = p0
-    for step in range(1, period):
+    for step in range(1, period + 1):
         p = eval_map(params, p)
-        if period % step == 0 and step < period:
-            if max(abs(p.x - p0.x), abs(p.y - p0.y)) <= MINIMALITY_TOL:
+        if period % step == 0:
+            gap = max(abs(p.x - p0.x), abs(p.y - p0.y))
+            if step < period and gap <= MINIMALITY_TOL:
                 raise NotMinimalError(divisor=step)
+    return gap
 
 
 def _finish_orbit(
@@ -191,9 +190,9 @@ def _finish_orbit(
     branch: Branch | None,
     method: str,
 ) -> SRkOrbit:
+    residual = _closing_residual(params, points[0], len(points))
     regions = _orbit_regions(params, points)
     violations = _single_round_violations(regions)
-    residual = _full_map_residual(params, points)
     jac = orbit_jacobian(params, points)
     tau, delta = jac.trace, jac.det
     return SRkOrbit(
@@ -211,21 +210,26 @@ def _finish_orbit(
     )
 
 
+def _point_above_strip(params: MapParams, k: int, u: float) -> Point2:
+    """(lam**k*(x_star + c2*u)/(1 - c1*lam**k), y_star + u) for root u."""
+    lamk = params.lam**k
+    x_up = lamk * (params.x_star + params.c2 * u) / (1.0 - params.c1 * lamk)
+    return Point2(x_up, params.y_star + u)
+
+
 def assemble_orbit(
     params: MapParams, k: int, u: float, branch: Branch | None = None
 ) -> SRkOrbit:
     """Build the closed-form orbit for root ``u`` and validate it.
 
-    The above-strip point is (lam**k*(x_star + c2*u)/(1 - c1*lam**k),
-    y_star + u); the return piece then the saddle piece applied k times
-    produce the remaining points.  Raises ``ItineraryInvalidError`` when
-    any point falls outside its required region (the closed form is then
-    not a genuine orbit of the piecewise map).
+    The above-strip point comes from ``_point_above_strip``; the return
+    piece then the saddle piece applied k times produce the remaining
+    points.  Raises ``ItineraryInvalidError`` when any point falls
+    outside its required region (the closed form is then not a genuine
+    orbit of the piecewise map), and ``NotMinimalError`` when it closes
+    after a proper divisor of k + 1.
     """
-    lamk = params.lam**k
-    denom = 1.0 - params.c1 * lamk
-    x_up = lamk * (params.x_star + params.c2 * u) / denom
-    p_up = Point2(x_up, params.y_star + u)
+    p_up = _point_above_strip(params, k, u)
     points = [p_up]
     if k > 0:
         points.append(eval_return(params, p_up))
@@ -235,18 +239,7 @@ def assemble_orbit(
     violations = _single_round_violations(regions)
     if violations:
         raise ItineraryInvalidError(violations)
-    _check_minimality(params, p_up, k + 1)
     return _finish_orbit(params, k, points, branch, "closed-form")
-
-
-def _solve_2x2(jac: Jacobian2, rx: float, ry: float) -> tuple[float, float]:
-    det = jac.det
-    if abs(det) < _SINGULAR_TOL:
-        raise SingularJacobianError(at_iterate=None)
-    return (
-        (jac.d * rx - jac.b * ry) / det,
-        (jac.a * ry - jac.c * rx) / det,
-    )
 
 
 def _cycle_and_residual(
@@ -286,13 +279,13 @@ def newton_periodic(
     res = max(abs(gx), abs(gy))
     for iteration in range(max_iter):
         if res <= tol:
-            _check_minimality(params, p, period)
             return _finish_orbit(params, period - 1, pts, None, "newton")
         jac_prod = orbit_jacobian(params, pts)
         dg = Jacobian2(jac_prod.a - 1.0, jac_prod.b, jac_prod.c, jac_prod.d - 1.0)
-        if abs(dg.det) < _SINGULAR_TOL:
-            raise SingularJacobianError(at_iterate=p)
-        dx, dy = _solve_2x2(dg, -gx, -gy)
+        try:
+            dx, dy = dg.solve(-gx, -gy)
+        except SingularJacobianError:
+            raise SingularJacobianError(at_iterate=p) from None
         step_scale = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             trial = Point2(p.x + step_scale * dx, p.y + step_scale * dy)
@@ -311,7 +304,6 @@ def newton_periodic(
         if max(abs(p.x), abs(p.y)) > _NEWTON_ESCAPE:
             raise NoConvergenceError(iterations=iteration + 1, last_residual=res)
     if res <= tol:
-        _check_minimality(params, p, period)
         return _finish_orbit(params, period - 1, pts, None, "newton")
     raise NoConvergenceError(iterations=max_iter, last_residual=res)
 
@@ -323,7 +315,8 @@ class ScanRecord:
     k: int
     branch: Branch
     status: str  # "closed-form" | "newton" | "no-real-root" |
-    #              "itinerary-invalid" | "newton-failed" | "duplicate"
+    #              "itinerary-invalid" | "newton-failed" | "duplicate" |
+    #              "precision-limited"
     orbit: SRkOrbit | None
     detail: str = ""
 
@@ -366,8 +359,10 @@ def _same_orbit(a: SRkOrbit, b: SRkOrbit, tol: float = 1e-8) -> bool:
 def _scan_one(
     params: MapParams, k: int, branch: Branch, found: list[SRkOrbit]
 ) -> ScanRecord:
-    roots = srk_quadratic(params, k)
-    u = roots.get(branch)
+    try:
+        u = srk_quadratic(params, k).get(branch)
+    except OverflowError as err:  # sigma**k beyond the double range
+        return ScanRecord(k, branch, "precision-limited", None, str(err))
     if u is None:
         return ScanRecord(k, branch, "no-real-root", None, "negative discriminant")
     try:
@@ -379,32 +374,16 @@ def _scan_one(
         blend_only = all(region is Region.BLEND for _, region in err.violations)
         if not blend_only:
             return ScanRecord(k, branch, "itinerary-invalid", None, str(err))
-        lamk = params.lam**k
-        denom = 1.0 - params.c1 * lamk
-        seed = Point2(lamk * (params.x_star + params.c2 * u) / denom, params.y_star + u)
         try:
-            orbit = newton_periodic(params, seed, k + 1)
-        except (NoConvergenceError, SingularJacobianError, NotMinimalError) as nerr:
+            orbit = newton_periodic(params, _point_above_strip(params, k, u), k + 1)
+        except (NoConvergenceError, SingularJacobianError, NotMinimalError, EscapeError) as nerr:
             return ScanRecord(k, branch, "newton-failed", None, str(nerr))
         for other in found:
             if _same_orbit(orbit, other):
                 return ScanRecord(
                     k, branch, "duplicate", None, "newton converged onto another branch"
                 )
-        orbit = SRkOrbit(
-            k=orbit.k,
-            period=orbit.period,
-            points=orbit.points,
-            branch=branch,
-            residual=orbit.residual,
-            trace=orbit.trace,
-            det=orbit.det,
-            stability=orbit.stability,
-            regions=orbit.regions,
-            itinerary_ok=orbit.itinerary_ok,
-            method=orbit.method,
-        )
-        return ScanRecord(k, branch, "newton", orbit, str(err))
+        return ScanRecord(k, branch, "newton", replace(orbit, branch=branch), str(err))
 
 
 def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:

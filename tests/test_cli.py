@@ -229,6 +229,12 @@ class TestFindOrbits:
         rows = (tmp_path / "out" / "orbits.csv").read_text().strip().splitlines()
         assert len(rows) == 1  # header only
 
+    def test_exit_zero_at_very_large_k(self, tmp_path):
+        cfg = orbit_config(tmp_path, k_min=3170, k_max=3190)
+        assert main(["find-orbits", "--config", cfg]) == EXIT_OK
+        summary = (tmp_path / "out" / "summary.csv").read_text()
+        assert ",newton-failed," in summary and ",precision-limited," in summary
+
 
 class TestCheckTheory:
     def test_pass_case(self, tmp_path):

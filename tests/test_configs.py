@@ -1,10 +1,15 @@
 """End-to-end runs of the 16 shipped example configs.
 
 All four parameter cases must complete orbits + theory + manifolds +
-200x200 basins in under five minutes total.
+200x200 basins in under five minutes total, and every output file must
+match the SHA-256 stored in ``shipped_outputs.sha256`` (one
+``<sha256>  <case>/<command>/<file>`` line per file, as printed by
+``perfbench/hashes.py``).  A change that alters any output byte must
+regenerate that listing and say why.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -14,6 +19,7 @@ import pytest
 from srklab.cli import EXIT_OK, main
 
 CONFIG_ROOT = Path(__file__).resolve().parent.parent / "configs"
+HASH_LISTING = Path(__file__).resolve().parent / "shipped_outputs.sha256"
 CASES = ("pp", "nn", "pn", "np")
 COMMANDS = {
     "orbits.json": "find-orbits",
@@ -50,3 +56,12 @@ def test_all_shipped_configs_run_end_to_end(tmp_path):
         assert (tmp_path / case / "manifolds" / "tangencies.csv").is_file()
         ppm = tmp_path / case / "basins" / "basins.ppm"
         assert ppm.read_bytes().startswith(b"P6\n200 200\n255\n")
+
+    listing = []
+    for case in CASES:
+        for name, command in COMMANDS.items():
+            out = tmp_path / case / name.split(".")[0]
+            for path in sorted(out.iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                listing.append(f"{digest}  {case}/{command}/{path.name}")
+    assert set(listing) == set(HASH_LISTING.read_text().splitlines())

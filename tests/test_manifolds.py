@@ -37,6 +37,15 @@ def synthetic_curve(points: np.ndarray) -> ManifoldCurve:
     )
 
 
+def assert_array_path_matches_scalar(invert, params, rng):
+    """``invert`` on a Point2 of 1,000-element arrays equals the per-point calls bit for bit."""
+    xs, ys = rng.uniform(-2.0, 2.0, size=(2, 1000))
+    ax, ay = invert(params, Point2(xs, ys))
+    scalar = [invert(params, Point2(float(x), float(y))) for x, y in zip(xs, ys)]
+    assert ax.tolist() == [q.x for q in scalar]
+    assert ay.tolist() == [q.y for q in scalar]
+
+
 class TestInverses:
     def test_saddle_inverse_example(self, pp):
         assert invert_saddle(pp, Point2(0.8, 0.0)) == Point2(1.0, 0.0)
@@ -53,6 +62,7 @@ class TestInverses:
                 assert abs(back.x - p.x) <= 1e-12 and abs(back.y - p.y) <= 1e-12
                 fwd = eval_saddle(params, invert_saddle(params, p))
                 assert abs(fwd.x - p.x) <= 1e-12 and abs(fwd.y - p.y) <= 1e-12
+            assert_array_path_matches_scalar(invert_saddle, params, rng)
 
     def test_return_inverse_homoclinic_step(self, pp):
         assert invert_return(pp, Point2(1.0, 0.0)) == Point2(0.0, 1.0)
@@ -70,6 +80,7 @@ class TestInverses:
                 p = Point2(float(x), float(y))
                 back = invert_return(params, eval_return(params, p))
                 assert abs(back.x - p.x) <= 1e-11 and abs(back.y - p.y) <= 1e-12
+            assert_array_path_matches_scalar(invert_return, params, rng)
 
     def test_return_inverse_requires_coefficients(self, pp):
         with pytest.raises(DegenerateCoefficientsError):
@@ -100,6 +111,16 @@ class TestBlendInverse:
     def test_far_point_has_no_blend_preimage(self, pp):
         sols = invert_blend(pp, Point2(50.0, -50.0))
         assert sols == []
+
+    def test_singular_jacobian_stops_at_iteration_zero(self, pp):
+        # With c2 = 0 the return piece's Jacobian has a zero first row.
+        params = pp.replace(c2=0.0)
+        guess = Point2(0.3, 1.5)
+        q = Point2(2.0, 2.0)
+        p, iterations, residual = _newton_preimage(params, q, guess)
+        assert (p, iterations) == (guess, 0)
+        image = eval_map(params, guess)
+        assert residual == max(abs(image.x - q.x), abs(image.y - q.y)) > 1e-10
 
     def test_exact_guess_converges_immediately(self, pp):
         p = Point2(0.3, 0.9)

@@ -7,10 +7,12 @@ import pytest
 
 from srklab import (
     EscapeError,
+    Jacobian2,
     MapParams,
     Point2,
     Region,
     ResonanceFormUnavailableError,
+    SingularJacobianError,
     blend_weight,
     eval_map,
     eval_map_arrays,
@@ -189,6 +191,16 @@ class TestJacobian:
                 below = one_sided(x, y0, -1.0)
                 above = one_sided(x, y0, +1.0)
                 assert np.abs(below - above).max() < 1e-5
+
+    def test_solve_regular_exact(self):
+        # [[2, 1], [1, 3]] (1, -2) = (0, -5); every step is exact in binary.
+        assert Jacobian2(2.0, 1.0, 1.0, 3.0).solve(0.0, -5.0) == (1.0, -2.0)
+
+    @pytest.mark.parametrize("matrix", [(1.0, 2.0, 2.0, 4.0), (math.nan, 0.0, 0.0, 1.0)])
+    def test_solve_singular_or_nan_raises(self, matrix):
+        with pytest.raises(SingularJacobianError) as err:
+            Jacobian2(*matrix).solve(1.0, 1.0)
+        assert err.value.at_iterate is None
 
 
 class TestIterate:

@@ -153,6 +153,13 @@ class TestNewton:
         ):
             newton_periodic(pp, Point2(5.0, 5.0), 2)
 
+    def test_singular_jacobian_reports_iterate(self, pp):
+        # With c2 = 0, at (x, 1.5) above the strip D(f - id) = [[-1, 0], [d1, 0]].
+        seed = Point2(0.3, 1.5)
+        with pytest.raises(SingularJacobianError) as err:
+            newton_periodic(pp.replace(c2=0.0), seed, 1)
+        assert err.value.at_iterate == seed
+
     def test_nonminimal_period_rejected(self, pp):
         with pytest.raises(NotMinimalError):
             newton_periodic(pp, Point2(1.0 + 1e-4, 1.0 - 1e-4), 4)
@@ -218,6 +225,17 @@ class TestScan:
         result = scan_srk(np_case, 0, 15)
         stable_k = sorted(o.k for o in result.stable_orbits())
         assert stable_k == [1, 3, 5, 7, 9, 11, 13, 15]
+
+    def test_very_large_k_recorded_not_raised(self, pp):
+        # Near k = 3175 the Newton seed's orbit escapes; from k = 3181
+        # sigma**k overflows the double range.
+        result = scan_srk(pp, 3170, 3190)
+        by_status = {}
+        for r in result.records:
+            by_status.setdefault(r.status, set()).add(r.k)
+        assert 3175 in by_status["newton-failed"]
+        assert by_status["precision-limited"] == set(range(3181, 3191))
+        assert all(r.detail for r in result.records if r.status == "precision-limited")
 
     def test_preserving_negative_eigenvalues(self, nn):
         result = scan_srk(nn, 0, 15)
