@@ -106,7 +106,7 @@ class AttractorRegistry:
         for _ in range(period):
             p = eval_map(params, p)
         residual = max(abs(p.x - pts[0, 0]), abs(p.y - pts[0, 1]))
-        if residual > _REGISTRY_RESIDUAL_TOL:
+        if not residual <= _REGISTRY_RESIDUAL_TOL:  # also rejects NaN residuals
             raise ValueError(
                 f"orbit is not periodic under the map (residual {residual:.3e})"
             )

@@ -52,6 +52,7 @@ _PAD_FRACTION = 0.1
 _FREEZE_RADIUS = 1e9
 _MAX_ROUNDS = 60
 _BLEND_NEWTON_TOL = 1e-10
+_BLEND_NEWTON_MAX_ITER = 30
 
 
 @dataclass
@@ -117,13 +118,13 @@ def invert_return(params: MapParams, q: Point2) -> Point2:
 
 
 def _newton_preimage(
-    params: MapParams, q: Point2, guess: Point2, max_iter: int = 30
+    params: MapParams, q: Point2, guess: Point2
 ) -> tuple[Point2, int, float]:
     """2D Newton on f(p) - q from one guess; returns (point, iters, residual)."""
     p = Point2(float(guess[0]), float(guess[1]))
     img = eval_map(params, p)
     res = max(abs(img.x - q.x), abs(img.y - q.y))
-    for iteration in range(max_iter):
+    for iteration in range(_BLEND_NEWTON_MAX_ITER):
         if res <= _BLEND_NEWTON_TOL:
             return p, iteration, res
         try:
@@ -135,7 +136,17 @@ def _newton_preimage(
             return p, iteration + 1, math.inf
         img = eval_map(params, p)
         res = max(abs(img.x - q.x), abs(img.y - q.y))
-    return p, max_iter, res
+    return p, _BLEND_NEWTON_MAX_ITER, res
+
+
+def _piece_inverses(params: MapParams, q: Point2) -> list[Point2]:
+    """The saddle inverse of q, then its return inverse where one exists."""
+    out = [invert_saddle(params, q)]
+    try:
+        out.append(invert_return(params, q))
+    except DegenerateCoefficientsError:
+        pass
+    return out
 
 
 def invert_blend(
@@ -148,11 +159,7 @@ def invert_blend(
     inside the strip; duplicates are merged.  May be empty.
     """
     if guesses is None:
-        guesses = [invert_saddle(params, q)]
-        try:
-            guesses.append(invert_return(params, q))
-        except DegenerateCoefficientsError:
-            pass
+        guesses = _piece_inverses(params, q)
     solutions: list[Point2] = []
     for guess in guesses:
         p, _, res = _newton_preimage(params, q, guess)
@@ -387,14 +394,9 @@ def _preimage_points(
     elif branch == "blend":
         for i in range(n):
             q = Point2(float(pts[i, 0]), float(pts[i, 1]))
-            guesses: list[Point2] = []
+            guesses = _piece_inverses(params, q)
             if prev is not None and np.isfinite(prev[i]).all():
-                guesses.append(Point2(float(prev[i, 0]), float(prev[i, 1])))
-            guesses.append(invert_saddle(params, q))
-            try:
-                guesses.append(invert_return(params, q))
-            except DegenerateCoefficientsError:
-                pass
+                guesses.insert(0, Point2(float(prev[i, 0]), float(prev[i, 1])))
             sols = invert_blend(params, q, guesses)
             if sols:
                 out[i] = (sols[0].x, sols[0].y)

@@ -56,6 +56,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 20
 MINIMALITY_TOL = 1e-8
+_SAME_ORBIT_TOL = 1e-8
 _NEWTON_ESCAPE = 1e6
 
 
@@ -150,62 +151,54 @@ def srk_quadratic(params: MapParams, k: int) -> RootPair:
     )
 
 
-def _orbit_regions(params: MapParams, points: Sequence[Point2]) -> tuple[Region, ...]:
-    return tuple(region_of(params, p.y) for p in points)
-
-
-def _single_round_violations(
-    regions: Sequence[Region],
-) -> list[tuple[int, Region]]:
-    """Deviations from the itinerary [upper, lower, ..., lower]."""
+def _itinerary(
+    params: MapParams, points: Sequence[Point2]
+) -> tuple[tuple[Region, ...], list[tuple[int, Region]]]:
+    """Regions of the points, and deviations from [upper, lower, ..., lower]."""
+    regions = tuple(region_of(params, p.y) for p in points)
     bad: list[tuple[int, Region]] = []
     if regions[0] is not Region.UPPER:
         bad.append((0, regions[0]))
     for j, region in enumerate(regions[1:], start=1):
         if region is not Region.LOWER:
             bad.append((j, region))
-    return bad
-
-
-def _closing_residual(params: MapParams, p0: Point2, period: int) -> float:
-    """Max-norm distance |f^period(p0) - p0|, walking the full map once.
-
-    Raises ``NotMinimalError`` when the walk already returns to p0
-    (within ``MINIMALITY_TOL``) after a proper divisor of ``period``.
-    """
-    p = p0
-    for step in range(1, period + 1):
-        p = eval_map(params, p)
-        if period % step == 0:
-            gap = max(abs(p.x - p0.x), abs(p.y - p0.y))
-            if step < period and gap <= MINIMALITY_TOL:
-                raise NotMinimalError(divisor=step)
-    return gap
+    return regions, bad
 
 
 def _finish_orbit(
     params: MapParams,
     k: int,
     points: Sequence[Point2],
+    closing: Point2,
+    regions: tuple[Region, ...],
+    itinerary_ok: bool,
     branch: Branch | None,
     method: str,
 ) -> SRkOrbit:
-    residual = _closing_residual(params, points[0], len(points))
-    regions = _orbit_regions(params, points)
-    violations = _single_round_violations(regions)
+    """Label the orbit walked as ``points`` with closing image f^period(p0).
+
+    Raises ``NotMinimalError`` when ``points[d]`` is p0 (within
+    ``MINIMALITY_TOL``) for a proper divisor d of the period.
+    """
+    p0 = points[0]
+    period = len(points)
+    for d in range(1, period):
+        if period % d == 0:
+            if max(abs(points[d].x - p0.x), abs(points[d].y - p0.y)) <= MINIMALITY_TOL:
+                raise NotMinimalError(divisor=d)
     jac = orbit_jacobian(params, points)
     tau, delta = jac.trace, jac.det
     return SRkOrbit(
         k=k,
-        period=len(points),
+        period=period,
         points=tuple(points),
         branch=branch,
-        residual=residual,
+        residual=max(abs(closing.x - p0.x), abs(closing.y - p0.y)),
         trace=tau,
         det=delta,
         stability=classify(tau, delta),
         regions=regions,
-        itinerary_ok=not violations,
+        itinerary_ok=itinerary_ok,
         method=method,
     )
 
@@ -235,25 +228,28 @@ def assemble_orbit(
         points.append(eval_return(params, p_up))
         for _ in range(k - 1):
             points.append(eval_saddle(params, points[-1]))
-    regions = _orbit_regions(params, points)
-    violations = _single_round_violations(regions)
+    regions, violations = _itinerary(params, points)
     if violations:
         raise ItineraryInvalidError(violations)
-    return _finish_orbit(params, k, points, branch, "closed-form")
+    # In pure regions the map is the piece used above: one call closes the orbit.
+    closing = eval_map(params, points[-1])
+    return _finish_orbit(params, k, points, closing, regions, True, branch, "closed-form")
 
 
 def _cycle_and_residual(
     params: MapParams, p: Point2, period: int
-) -> tuple[list[Point2], float, float]:
+) -> tuple[list[Point2], Point2]:
+    """The orbit [p, ..., f^(period-1)(p)] and its closing image f^period(p).
+
+    Raises ``EscapeError`` when the closing gap is not finite.
+    """
     pts = [p]
     for _ in range(period - 1):
         pts.append(eval_map(params, pts[-1]))
     closing = eval_map(params, pts[-1])
-    gx = closing.x - p.x
-    gy = closing.y - p.y
-    if not (math.isfinite(gx) and math.isfinite(gy)):
+    if not (math.isfinite(closing.x - p.x) and math.isfinite(closing.y - p.y)):
         raise EscapeError(at_step=period, points=pts)
-    return pts, gx, gy
+    return pts, closing
 
 
 def newton_periodic(
@@ -275,37 +271,38 @@ def newton_periodic(
     p = Point2(float(seed[0]), float(seed[1]))
     if max(abs(p.x), abs(p.y)) > _NEWTON_ESCAPE:
         raise NoConvergenceError(iterations=0, last_residual=math.inf)
-    pts, gx, gy = _cycle_and_residual(params, p, period)
-    res = max(abs(gx), abs(gy))
+    pts, closing = _cycle_and_residual(params, p, period)
+    res = max(abs(closing.x - p.x), abs(closing.y - p.y))
     for iteration in range(max_iter):
         if res <= tol:
-            return _finish_orbit(params, period - 1, pts, None, "newton")
+            break
         jac_prod = orbit_jacobian(params, pts)
         dg = Jacobian2(jac_prod.a - 1.0, jac_prod.b, jac_prod.c, jac_prod.d - 1.0)
         try:
-            dx, dy = dg.solve(-gx, -gy)
+            dx, dy = dg.solve(-(closing.x - p.x), -(closing.y - p.y))
         except SingularJacobianError:
             raise SingularJacobianError(at_iterate=p) from None
         step_scale = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             trial = Point2(p.x + step_scale * dx, p.y + step_scale * dy)
             try:
-                trial_pts, tgx, tgy = _cycle_and_residual(params, trial, period)
+                trial_pts, trial_closing = _cycle_and_residual(params, trial, period)
             except EscapeError:
                 step_scale *= 0.5
                 continue
-            trial_res = max(abs(tgx), abs(tgy))
+            trial_res = max(abs(trial_closing.x - trial.x), abs(trial_closing.y - trial.y))
             if trial_res < res or trial_res <= tol:
-                p, pts, gx, gy, res = trial, trial_pts, tgx, tgy, trial_res
+                p, pts, closing, res = trial, trial_pts, trial_closing, trial_res
                 break
             step_scale *= 0.5
         else:
             raise NoConvergenceError(iterations=iteration + 1, last_residual=res)
         if max(abs(p.x), abs(p.y)) > _NEWTON_ESCAPE:
             raise NoConvergenceError(iterations=iteration + 1, last_residual=res)
-    if res <= tol:
-        return _finish_orbit(params, period - 1, pts, None, "newton")
-    raise NoConvergenceError(iterations=max_iter, last_residual=res)
+    if res > tol:
+        raise NoConvergenceError(iterations=max_iter, last_residual=res)
+    regions, violations = _itinerary(params, pts)
+    return _finish_orbit(params, period - 1, pts, closing, regions, not violations, None, "newton")
 
 
 @dataclass(frozen=True)
@@ -343,13 +340,13 @@ class ScanResult:
         return None
 
 
-def _same_orbit(a: SRkOrbit, b: SRkOrbit, tol: float = 1e-8) -> bool:
+def _same_orbit(a: SRkOrbit, b: SRkOrbit) -> bool:
     if a.period != b.period:
         return False
     # Compare point sets up to cyclic rotation.
     for shift in range(b.period):
         if all(
-            max(abs(pa.x - pb.x), abs(pa.y - pb.y)) <= tol
+            max(abs(pa.x - pb.x), abs(pa.y - pb.y)) <= _SAME_ORBIT_TOL
             for pa, pb in zip(a.points, b.points[shift:] + b.points[:shift])
         ):
             return True

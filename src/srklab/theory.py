@@ -17,7 +17,7 @@ user-specified constants, not measured quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,15 +69,16 @@ class TheoryReport:
     stability_margin: Verdict
     predicted: AsymptoticPrediction | None
 
-    _CONDITIONS = (
-        "tangency",
-        "eigenvalue_product",
-        "global_resonance",
-        "resonance_sum",
-        "quadratic_coefficient",
-        "discriminant",
-        "stability_margin",
-    )
+    # Condition name -> label in the text report, in report order.
+    _CONDITIONS = {
+        "tangency": "tangency d2 = 0",
+        "eigenvalue_product": "|lam*sigma| = 1",
+        "global_resonance": "global resonance |d1|x*/y* = 1",
+        "resonance_sum": "resonance sum a1 + b1 = 0",
+        "quadratic_coefficient": "quadratic coefficient d5 != 0",
+        "discriminant": "discriminant D > 0",
+        "stability_margin": "stability margin on c2*y*/x*",
+    }
 
     def failed_conditions(self) -> list[str]:
         out = []
@@ -91,44 +92,23 @@ class TheoryReport:
         return not self.failed_conditions()
 
     def to_dict(self) -> dict:
-        def vd(v: Verdict) -> dict:
-            return {
-                "passed": v.passed,
-                "value": v.value,
-                "note": v.note,
-                "applicable": v.applicable,
-            }
-
         out = {
             "orientation": self.orientation,
             "parity": self.parity,
             "hypotheses_pass": self.hypotheses_pass(),
-            "conditions": {name: vd(getattr(self, name)) for name in self._CONDITIONS},
+            "conditions": {name: asdict(getattr(self, name)) for name in self._CONDITIONS},
         }
         if self.predicted is not None:
-            out["predicted"] = {
-                "tau_inf_minus": self.predicted.tau_inf_minus,
-                "tau_inf_plus": self.predicted.tau_inf_plus,
-                "delta_inf": self.predicted.delta_inf,
-            }
+            out["predicted"] = asdict(self.predicted)
         return out
 
     def to_text(self) -> str:
-        labels = {
-            "tangency": "tangency d2 = 0",
-            "eigenvalue_product": "|lam*sigma| = 1",
-            "global_resonance": "global resonance |d1|x*/y* = 1",
-            "resonance_sum": "resonance sum a1 + b1 = 0",
-            "quadratic_coefficient": "quadratic coefficient d5 != 0",
-            "discriminant": "discriminant D > 0",
-            "stability_margin": "stability margin on c2*y*/x*",
-        }
         lines = [
             "coexistence hypothesis report",
             f"  orientation        : {self.orientation}",
             f"  stable-k parity    : {self.parity}",
         ]
-        for name in self._CONDITIONS:
+        for name, label in self._CONDITIONS.items():
             v: Verdict = getattr(self, name)
             if not v.applicable:
                 status = "N/A "
@@ -136,7 +116,7 @@ class TheoryReport:
                 status = "PASS" if v.passed else "FAIL"
             value = "" if v.value is None else f"value = {v.value!r}"
             note = f"  ({v.note})" if v.note else ""
-            lines.append(f"  {labels[name]:34s}: {status}  {value}{note}")
+            lines.append(f"  {label:34s}: {status}  {value}{note}")
         if self.predicted is not None:
             lines.append(
                 "  predicted limits   : "

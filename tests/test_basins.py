@@ -96,8 +96,11 @@ class TestRegistry:
 
     def test_nonperiodic_points_rejected(self, pp):
         registry = AttractorRegistry()
-        with pytest.raises(ValueError, match="not periodic"):
-            registry.add(pp, [Point2(0.3, 0.4)])
+        # A NaN point has a NaN closing residual, which must not pass the tolerance.
+        for point in (Point2(0.3, 0.4), Point2(float("nan"), float("nan"))):
+            with pytest.raises(ValueError, match="not periodic"):
+                registry.add(pp, [point])
+        assert len(registry) == 0
 
 
 class TestClassify:

@@ -438,6 +438,26 @@ class TestBasins:
         )
         assert main(["basins", "--config", cfg]) == EXIT_IO
 
+    def test_nan_registry_row_is_config_error(self, tmp_path, capsys):
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text(
+            "k,period,branch,j,x_j,y_j,trace,det,stability,residual\n"
+            "0,1,minus,0,nan,nan,0.0,0.5,asymptotically-stable,0.0\n"
+        )
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "out"),
+                "basins": {"resolution": [8, 8], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "registry CSV inconsistent with params" in err
+        assert "Traceback" not in err
+
     def test_tiny_resolution_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,

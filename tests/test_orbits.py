@@ -185,6 +185,39 @@ class TestNewton:
                 assert max(dists) <= 1e-10
 
 
+class TestSingleWalk:
+    """Each orbit's points come from one walk; the residual and the
+    minimality test reuse them instead of mapping the orbit again."""
+
+    @pytest.fixture
+    def eval_map_calls(self, monkeypatch):
+        import srklab.orbits as orbits
+
+        calls = []
+
+        def counting(params, p):
+            calls.append(p)
+            return eval_map(params, p)
+
+        monkeypatch.setattr(orbits, "eval_map", counting)
+        return calls
+
+    def test_newton_maps_the_converged_orbit_once(self, pp, eval_map_calls):
+        orbit = newton_periodic(pp, Point2(0.512, 1.0), 4)
+        assert orbit.residual <= 1e-12
+        assert len(eval_map_calls) == 4
+
+    def test_closed_form_makes_one_map_call(self, pp, eval_map_calls):
+        orbit = assemble_orbit(pp, 6, srk_quadratic(pp, 6).u_minus)
+        assert len(eval_map_calls) == 1
+        assert eval_map_calls == [orbit.points[-1]]
+        walked = iterate(pp, orbit.points[0], orbit.period)
+        assert tuple(walked[:-1]) == orbit.points
+        assert orbit.residual == max(
+            abs(walked[-1].x - walked[0].x), abs(walked[-1].y - walked[0].y)
+        )
+
+
 class TestScan:
     def test_pp_stable_family_complete(self, pp):
         result = scan_srk(pp, 0, 15)
