@@ -281,6 +281,10 @@ def cmd_manifolds(config: ExperimentConfig) -> int:
         max_angle=section["max_angle"],
         point_budget=section["point_budget"],
     )
+    if unstable.points.shape[0] == 0:
+        raise ConfigError(
+            f"'clip' holds no point of the unstable manifold after {section['n_images']} images"
+        )
     try:
         stable = trace_stable(
             config.params,

@@ -1,11 +1,13 @@
 """Growing the one-dimensional invariant manifolds of the origin.
 
 The unstable manifold is grown by mapping a fundamental segment of the
-local unstable axis forward, inserting seed-parameter midpoints wherever
-an image gap or turning angle exceeds tolerance.  The stable set is grown
-backwards as a preimage tree, branching over the analytic inverses of the
-two map pieces and a Newton inverse inside the blend strip (the map is
-non-invertible, so the stable set has several branches).
+local unstable axis forward.  The stable set is grown backwards as a
+preimage tree, branching over the analytic inverses of the two map pieces
+and a Newton inverse inside the blend strip (the map is non-invertible,
+so the stable set has several branches).  Both are refined by one loop,
+``_refine``: it bisects the straight seed segment wherever a curve gap or
+turning angle exceeds tolerance and maps each midpoint through the known
+stages to the curve.  ``_finish`` clips and measures both.
 
 Tangential touches of the x-axis are located on the traced curve and
 sharpened by golden-section search on the seed parameter.
@@ -13,7 +15,9 @@ sharpened by golden-section search on the seed parameter.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,6 +74,16 @@ class ManifoldCurve:
     (clipping can drop intermediate points).  Unstable curves carry their
     provenance (seed parameter and generation per point) so tangency hits
     can be re-sharpened by re-iterating the seed.
+
+    ``arc_length`` and ``refinement.max_gap`` are the sum and the largest
+    of the segment lengths over the joined segments with both ends inside
+    the clip window (not its padded refinement window).
+    ``refinement.inserted_points`` counts the midpoints added to the
+    unstable curve, or to the preimage branch that a stable curve was cut
+    from.  Every sample made counts against the point budget: the
+    refinement round or new stage that would cross it is cut to fit, no
+    stage is started after it, and ``refinement.budget_exhausted`` is set
+    on the unstable curve, or on every curve of the stable set.
     """
 
     points: np.ndarray
@@ -175,6 +189,120 @@ def invert_blend(
     return solutions
 
 
+# -- one refinement engine for both manifolds ----------------------------------
+
+
+def _inside(points: np.ndarray, rect: Rect) -> np.ndarray:
+    """Mask of the rows of ``points`` inside ``rect``; NaN rows never are."""
+    x, y = points[:, 0], points[:, 1]
+    return (x >= rect.xmin) & (x <= rect.xmax) & (y >= rect.ymin) & (y <= rect.ymax)
+
+
+def _needs_refinement(
+    pts: np.ndarray, window: Rect, max_gap: float, max_angle: float
+) -> np.ndarray:
+    """Boolean mask over segments [i, i+1] that should be split."""
+    finite = np.isfinite(pts).all(axis=1)
+    inside = _inside(pts, window)
+    relevant = finite[:-1] & finite[1:] & (inside[:-1] | inside[1:])
+
+    deltas = np.diff(pts, axis=0)
+    gaps = np.hypot(deltas[:, 0], deltas[:, 1])
+    seg = relevant & (gaps > max_gap)
+
+    # Turning angle at interior vertices: refine both adjacent segments.
+    a, b = deltas[:-1], deltas[1:]
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    dot = (a * b).sum(axis=1)
+    big_angle = np.abs(np.arctan2(cross, dot)) > max_angle
+    # Ignore vertices whose segments are already tiny (curvature limit).
+    tiny = (gaps[:-1] <= max_gap * 1e-3) & (gaps[1:] <= max_gap * 1e-3)
+    big_angle &= ~tiny & (relevant[:-1] | relevant[1:])
+    seg[:-1] |= big_angle
+    seg[1:] |= big_angle
+    return seg
+
+
+def _allow(wanted: int, left: int, stats: RefinementStats) -> int:
+    """How many of ``wanted`` new samples fit in ``left``; a cut flags ``stats``."""
+    if wanted <= left:
+        return wanted
+    stats.budget_exhausted = True
+    return max(left, 0)
+
+
+def _refine(
+    chain: list[np.ndarray],
+    extend: Callable[[list[np.ndarray], np.ndarray, np.ndarray], list[np.ndarray]],
+    window: Rect,
+    max_gap: float,
+    max_angle: float,
+    budget: int,
+    stats: RefinementStats,
+) -> list[np.ndarray]:
+    """Bisect the seed stage until the curve stage is resolved in ``window``.
+
+    ``chain[0]`` holds seed parameters along a straight segment, in curve
+    order, and every later stage their images through one more known
+    step, row for row; ``chain[-1]`` is the curve.  Each round flags curve
+    segments with ``_needs_refinement``, bisects their seed intervals and
+    calls ``extend(chain, idx, mids)`` for the midpoints' rows in every
+    stage after the seed.  Midpoints that do not split their interval, or
+    whose curve row is not finite, are dropped; the rest go between rows
+    idx and idx + 1 of every stage.  The chain never grows past ``budget``
+    rows: the round that would cross it is cut to fit and flags ``stats``.
+    """
+    for _ in range(_MAX_ROUNDS):
+        seeds = chain[0]
+        idx = np.flatnonzero(_needs_refinement(chain[-1], window, max_gap, max_angle))
+        idx = idx[: _allow(idx.size, budget - seeds.size, stats)]
+        lo, hi = seeds[idx], seeds[idx + 1]
+        mids = 0.5 * (lo + hi)
+        fresh = (mids != lo) & (mids != hi)
+        idx, mids = idx[fresh], mids[fresh]
+        if idx.size == 0:
+            break
+        rows = [mids, *extend(chain, idx, mids)]
+        ok = np.isfinite(rows[-1]).all(axis=1)
+        idx, rows = idx[ok], [r[ok] for r in rows]
+        if idx.size == 0:
+            break
+        at = idx + np.arange(1, idx.size + 1)
+        old = np.ones(seeds.size + idx.size, dtype=bool)
+        old[at] = False
+        for level, new in enumerate(rows):
+            merged = np.empty((old.size,) + new.shape[1:])
+            merged[old] = chain[level]
+            merged[at] = new
+            chain[level] = merged
+        stats.inserted_points += idx.size
+    return chain
+
+
+def _finish(
+    points: np.ndarray, clip: Rect, window: Rect
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Clip a polyline to ``window`` and measure it inside ``clip``.
+
+    A finite point is kept when it or a neighbour lies inside ``window``,
+    so curve pieces keep their window-crossing anchors; ``joined[i]`` says
+    whether kept points i and i+1 were adjacent.  Returns the kept
+    indices, ``joined``, and the arc length and largest gap over the joined
+    segments with both ends inside ``clip``.
+    """
+    inside = _inside(points, window)
+    keep = inside.copy()
+    keep[:-1] |= inside[1:]
+    keep[1:] |= inside[:-1]
+    keep &= np.isfinite(points).all(axis=1)
+    kept_idx = np.flatnonzero(keep)
+    joined = np.diff(kept_idx) == 1
+    deltas = np.diff(points[kept_idx], axis=0)
+    in_clip = _inside(points[kept_idx], clip)
+    gaps = np.hypot(deltas[:, 0], deltas[:, 1])[joined & in_clip[:-1] & in_clip[1:]]
+    return kept_idx, joined, float(gaps.sum()), float(gaps.max(initial=0.0))
+
+
 # -- unstable manifold --------------------------------------------------------
 
 
@@ -188,7 +316,7 @@ def _iterate_seeds(
     reasonable clip window.
     """
     x = np.zeros_like(ts)
-    y = ts.astype(float).copy()
+    y = ts.astype(float)
     for _ in range(generation):
         alive = (np.abs(x) <= _FREEZE_RADIUS) & (np.abs(y) <= _FREEZE_RADIUS)
         alive &= np.isfinite(x) & np.isfinite(y)
@@ -198,99 +326,6 @@ def _iterate_seeds(
         x = np.where(alive, nx, x)
         y = np.where(alive, ny, y)
     return np.column_stack((x, y))
-
-
-def _inside(points: np.ndarray, rect: Rect) -> np.ndarray:
-    """Mask of the rows of ``points`` inside ``rect``; NaN rows never are."""
-    x, y = points[:, 0], points[:, 1]
-    return (x >= rect.xmin) & (x <= rect.xmax) & (y >= rect.ymin) & (y <= rect.ymax)
-
-
-def _clip_polyline(points: np.ndarray, rect: Rect) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the polyline points kept by clipping, and their ``joined`` flags.
-
-    A finite point is kept when it or a neighbour lies inside ``rect``, so
-    curve pieces keep their window-crossing anchors; ``joined[i]`` says
-    whether kept points i and i+1 were adjacent.
-    """
-    inside = _inside(points, rect)
-    keep = inside.copy()
-    keep[:-1] |= inside[1:]
-    keep[1:] |= inside[:-1]
-    keep &= np.isfinite(points).all(axis=1)
-    kept_idx = np.flatnonzero(keep)
-    return kept_idx, np.diff(kept_idx) == 1
-
-
-def _needs_refinement(
-    pts: np.ndarray, window: Rect, max_gap: float, max_angle: float
-) -> np.ndarray:
-    """Boolean mask over segments [i, i+1] that should be split."""
-    n = pts.shape[0]
-    seg = np.zeros(n - 1, dtype=bool)
-    finite = np.isfinite(pts).all(axis=1)
-    inside = _inside(pts, window)
-    relevant = finite[:-1] & finite[1:] & (inside[:-1] | inside[1:])
-
-    deltas = np.diff(pts, axis=0)
-    gaps = np.hypot(deltas[:, 0], deltas[:, 1])
-    seg |= relevant & (gaps > max_gap)
-
-    # Turning angle at interior vertices: refine both adjacent segments.
-    a, b = deltas[:-1], deltas[1:]
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    dot = (a * b).sum(axis=1)
-    angles = np.abs(np.arctan2(cross, dot))
-    big_angle = angles > max_angle
-    # Ignore vertices whose segments are already tiny (curvature limit).
-    tiny = (gaps[:-1] <= max_gap * 1e-3) & (gaps[1:] <= max_gap * 1e-3)
-    big_angle &= ~tiny
-    vertex_relevant = relevant[:-1] | relevant[1:]
-    big_angle &= vertex_relevant
-    seg[:-1] |= big_angle
-    seg[1:] |= big_angle
-    return seg
-
-
-def _refine_generation(
-    params: MapParams,
-    generation: int,
-    t_lo: float,
-    t_hi: float,
-    window: Rect,
-    max_gap: float,
-    max_angle: float,
-    budget: int,
-    stats: RefinementStats,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptively sampled image of the seed segment under f^generation."""
-    ts = np.linspace(t_lo, t_hi, 33)
-    pts = _iterate_seeds(params, ts, generation)
-    for _ in range(_MAX_ROUNDS):
-        if ts.size >= budget:
-            stats.budget_exhausted = True
-            break
-        seg = _needs_refinement(pts, window, max_gap, max_angle)
-        if not seg.any():
-            break
-        idx = np.flatnonzero(seg)
-        if ts.size + idx.size > budget:
-            idx = idx[: max(0, budget - ts.size)]
-            stats.budget_exhausted = True
-            if idx.size == 0:
-                break
-        mids = 0.5 * (ts[idx] + ts[idx + 1])
-        fresh = (mids != ts[idx]) & (mids != ts[idx + 1])
-        mids = mids[fresh]
-        if mids.size == 0:
-            break
-        new_pts = _iterate_seeds(params, mids, generation)
-        ts = np.concatenate((ts, mids))
-        order = np.argsort(ts, kind="stable")
-        ts = ts[order]
-        pts = np.concatenate((pts, new_pts))[order]
-        stats.inserted_points += mids.size
-    return ts, pts
 
 
 def trace_unstable(
@@ -306,8 +341,10 @@ def trace_unstable(
 
     The fundamental segment spans [seed_scale, sigma*seed_scale] on the
     local unstable axis (the y-axis); for sigma < 0 it spans the origin
-    and both half-axes grow.  Consecutive forward images concatenate into
-    one polyline (generation g ends where generation g+1 begins).
+    and both half-axes grow.  Generation g is the image under f^g of 33
+    seeds on that segment, refined by ``_refine``; consecutive generations
+    concatenate into one polyline (generation g ends where generation g+1
+    begins).  No generation is started once the budget has run out.
     """
     if n_images < 1:
         raise ValueError("n_images must be >= 1")
@@ -319,55 +356,36 @@ def trace_unstable(
     window = clip.padded(_PAD_FRACTION)
     stats = RefinementStats()
 
-    pieces: list[tuple[np.ndarray, np.ndarray, int]] = []
-    remaining = point_budget
-    generations = range(n_images + 1)
-    for g in generations:
-        ts, pts = _refine_generation(
-            params, g, t_lo, t_hi, window, max_gap, max_angle, remaining, stats
+    pieces: list[tuple[np.ndarray, ...]] = []
+    used = 0
+    for g in range(n_images + 1):
+        left = point_budget - used
+        ts = np.linspace(t_lo, t_hi, 33)[: _allow(33, left, stats)]
+        ts, pts = _refine(
+            [ts, _iterate_seeds(params, ts, g)],
+            lambda chain, idx, mids: [_iterate_seeds(params, mids, g)],
+            window, max_gap, max_angle, left, stats,
         )
-        pieces.append((ts, pts, g))
-        remaining = max(1, remaining - ts.size)
+        pieces.append((ts, pts, np.full(ts.size, g, dtype=int)))
+        used += ts.size
         if stats.budget_exhausted:
             break
 
-    if params.sigma < 0:
-        pieces = pieces[::-1]
-
-    all_pts: list[np.ndarray] = []
-    all_t: list[np.ndarray] = []
-    all_gen: list[np.ndarray] = []
-    for i, (ts, pts, g) in enumerate(pieces):
-        if i > 0:
-            ts, pts = ts[1:], pts[1:]  # junction point equals previous end
-        all_t.append(ts)
-        all_pts.append(pts)
-        all_gen.append(np.full(ts.size, g, dtype=int))
-    points = np.concatenate(all_pts)
-    seed_t = np.concatenate(all_t)
-    generation = np.concatenate(all_gen)
-
-    kept_idx, joined = _clip_polyline(points, window)
-    points = points[kept_idx]
-    seed_t = seed_t[kept_idx]
-    generation = generation[kept_idx]
-
-    deltas = np.diff(points, axis=0)
-    gaps = np.hypot(deltas[:, 0], deltas[:, 1])
-    in_clip = _inside(points, clip)
-    counted = joined & in_clip[:-1] & in_clip[1:]
-    arc_length = float(gaps[counted].sum()) if counted.any() else 0.0
-    stats.max_gap = float(gaps[counted].max()) if counted.any() else 0.0
-
+    # Each generation after the first repeats the previous one's end point.
+    first, *rest = pieces[::-1] if params.sigma < 0 else pieces
+    seed_t, points, generation = (
+        np.concatenate([first[j], *(piece[j][1:] for piece in rest)]) for j in range(3)
+    )
+    kept_idx, joined, arc_length, stats.max_gap = _finish(points, clip, window)
     return ManifoldCurve(
-        points=points,
+        points=points[kept_idx],
         kind="unstable",
         branch_index=0,
         arc_length=arc_length,
         refinement=stats,
         joined=joined,
-        seed_t=seed_t,
-        generation=generation,
+        seed_t=seed_t[kept_idx],
+        generation=generation[kept_idx],
         params=params,
     )
 
@@ -383,16 +401,9 @@ def _preimage_points(
     ``prev`` (same shape) supplies continuity guesses for the blend
     branch.  Invalid candidates are returned as NaN.
     """
-    n = pts.shape[0]
-    out = np.full((n, 2), np.nan)
-    if branch == "saddle":
-        out[:, 0], out[:, 1] = invert_saddle(params, Point2(pts[:, 0], pts[:, 1]))
-        valid = out[:, 1] <= params.h0
-    elif branch == "return":
-        out[:, 0], out[:, 1] = invert_return(params, Point2(pts[:, 0], pts[:, 1]))
-        valid = out[:, 1] >= params.h1
-    elif branch == "blend":
-        for i in range(n):
+    if branch == "blend":
+        out = np.full((pts.shape[0], 2), np.nan)
+        for i in range(pts.shape[0]):
             q = Point2(float(pts[i, 0]), float(pts[i, 1]))
             guesses = _piece_inverses(params, q)
             if prev is not None and np.isfinite(prev[i]).all():
@@ -400,67 +411,22 @@ def _preimage_points(
             sols = invert_blend(params, q, guesses)
             if sols:
                 out[i] = (sols[0].x, sols[0].y)
-        valid = np.isfinite(out).all(axis=1)
-    else:  # pragma: no cover
-        raise ValueError(branch)
-    valid &= np.isfinite(out).all(axis=1)
-    out[~valid] = np.nan
+        return out
+    if branch == "saddle":
+        out = np.column_stack(invert_saddle(params, Point2(pts[:, 0], pts[:, 1])))
+        in_piece = out[:, 1] <= params.h0
+    else:
+        out = np.column_stack(invert_return(params, Point2(pts[:, 0], pts[:, 1])))
+        in_piece = out[:, 1] >= params.h1
+    out[~(in_piece & np.isfinite(out).all(axis=1))] = np.nan
     return out
 
 
 def _split_runs(valid: np.ndarray) -> list[np.ndarray]:
-    runs: list[np.ndarray] = []
+    """Index arrays of the runs of at least two consecutive valid rows."""
     idx = np.flatnonzero(valid)
-    if idx.size == 0:
-        return runs
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    start = 0
-    for b in list(breaks) + [idx.size - 1]:
-        chunk = idx[start : b + 1]
-        if chunk.size >= 2:
-            runs.append(chunk)
-        start = b + 1
-    return runs
-
-
-@dataclass
-class _Node:
-    """Preimage-tree node: every stage of the pull-back chain, aligned 1:1.
-
-    ``chain[0]`` holds points on the seed segment, ``chain[j]`` their
-    preimages after the first j inverse branches; ``chain[-1]`` is this
-    node's curve.  Keeping the whole chain makes refinement exact: a new
-    sample is pulled back from the (straight) seed segment through every
-    stage instead of interpolating chords on a curved parent.
-    """
-
-    chain: list[np.ndarray]
-    branches: tuple[str, ...]
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.chain[-1]
-
-    @property
-    def depth(self) -> int:
-        return len(self.branches)
-
-
-def _pull_back_column(
-    params: MapParams, node: _Node, idx: np.ndarray
-) -> np.ndarray | None:
-    """New chain columns between idx and idx+1, pulled back from the seed.
-
-    Returns an array of shape (len(chain), len(idx), 2), or None when
-    nothing could be inserted.  Entries that fail a stage are NaN.
-    """
-    cols = [0.5 * (node.chain[0][idx] + node.chain[0][idx + 1])]
-    for stage, branch in enumerate(node.branches, start=1):
-        prev_level = cols[-1]
-        guesses = 0.5 * (node.chain[stage][idx] + node.chain[stage][idx + 1])
-        nxt = _preimage_points(params, prev_level, branch, guesses)
-        cols.append(nxt)
-    return np.stack(cols)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+    return [run for run in runs if run.size >= 2]
 
 
 def trace_stable(
@@ -475,10 +441,13 @@ def trace_stable(
 
     The fundamental segment spans [seed_scale, seed_scale/lam] on the
     local stable axis (both half-axes when lam < 0), which covers the
-    homoclinic point (x_star, 0) with the default scale.  Every node is
-    expanded through the three inverse branches (saddle piece, return
-    piece, blend Newton), keeping preimages that land in the matching
-    region and inside the clip window.  One curve per surviving branch.
+    homoclinic point (x_star, 0) with the default scale.  Every node down
+    to ``depth`` is expanded whole through the three inverse branches
+    (saddle piece, return piece, blend Newton), keeping the preimages that
+    land in the matching region; only the returned curves are clipped,
+    one per run of valid preimages that reaches the clip window.
+    ``_refine`` pulls each new sample back from the seed segment through
+    every stage.  No branch is started once the budget has run out.
     Raises ``DegenerateCoefficientsError`` for depth >= 1 when the return
     piece has no exact inverse (see ``invert_return``).
     """
@@ -490,75 +459,64 @@ def trace_stable(
     else:
         a, b = x0 / params.lam, x0
     window = clip.padded(_PAD_FRACTION)
+    cut = RefinementStats()
     n_seed = max(9, int(math.ceil((b - a) / max_gap)) + 1)
-    seed = np.column_stack((np.linspace(a, b, n_seed), np.zeros(n_seed)))
-
-    stats_total = 0
+    xs = np.linspace(a, b, n_seed)[: _allow(n_seed, point_budget, cut)]
+    used = xs.size
     curves: list[ManifoldCurve] = []
-    budget_flag = False
 
-    def emit(node: _Node, inserted: int) -> None:
-        nonlocal stats_total
-        kept_idx, joined = _clip_polyline(node.points, window)
-        if kept_idx.size < 2:
-            return
-        kept = node.points[kept_idx]
-        deltas = np.diff(kept, axis=0)
-        gaps = np.hypot(deltas[:, 0], deltas[:, 1])
-        stats = RefinementStats(
-            inserted_points=inserted,
-            max_gap=float(gaps[joined].max()) if joined.any() else 0.0,
-            budget_exhausted=budget_flag,
-        )
-        curves.append(
-            ManifoldCurve(
-                points=kept,
-                kind="stable",
-                branch_index=len(curves),
-                arc_length=float(gaps[joined].sum()) if joined.any() else 0.0,
-                refinement=stats,
-                joined=joined,
-                params=params,
-                depth=node.depth,
+    def emit(chain: list[np.ndarray], branches: tuple[str, ...], inserted: int) -> None:
+        kept_idx, joined, arc_length, gap = _finish(chain[-1], clip, window)
+        if kept_idx.size >= 2:
+            curves.append(
+                ManifoldCurve(
+                    points=chain[-1][kept_idx],
+                    kind="stable",
+                    branch_index=len(curves),
+                    arc_length=arc_length,
+                    refinement=RefinementStats(inserted, gap),
+                    joined=joined,
+                    params=params,
+                    depth=len(branches),
+                )
             )
-        )
-        stats_total += kept.shape[0]
 
-    root = _Node([seed], ())
-    emit(root, 0)
-    frontier: list[_Node] = [root]
-    while frontier:
-        node = frontier.pop(0)
-        if node.depth >= depth:
+    def pull_back(branches, chain, idx, mids):
+        """Rows of seed abscissae ``mids`` in every stage after the seed; the
+        blend branch guesses the midpoint of the rows it goes between."""
+        stages = [np.column_stack((mids, np.zeros_like(mids)))]
+        for branch, stage in zip(branches, chain[2:]):
+            guesses = 0.5 * (stage[idx] + stage[idx + 1])
+            stages.append(_preimage_points(params, stages[-1], branch, guesses))
+        return stages
+
+    root = [xs, np.column_stack((xs, np.zeros_like(xs)))]
+    emit(root, (), 0)
+    frontier = [(root, ())]
+    while frontier and not cut.budget_exhausted:
+        chain, branches = frontier.pop(0)
+        if len(branches) >= depth:
             continue
         for branch in ("saddle", "return", "blend"):
-            child_pts = _preimage_points(params, node.points, branch, None)
-            chain = [arr.copy() for arr in node.chain] + [child_pts]
-            child = _Node(chain, node.branches + (branch,))
-            inserted = 0
-            for _ in range(_MAX_ROUNDS):
-                if stats_total + child.points.shape[0] > point_budget:
-                    budget_flag = True
-                    break
-                idx = np.flatnonzero(_needs_refinement(child.points, window, max_gap, math.inf))
-                if idx.size == 0:
-                    break
-                cols = _pull_back_column(params, child, idx)
-                ok = np.isfinite(cols).all(axis=(0, 2))
-                idx, cols = idx[ok], cols[:, ok]
-                if idx.size == 0:
-                    break
-                insert_at = idx + 1
-                child.chain = [
-                    np.insert(arr, insert_at, cols[level], axis=0)
-                    for level, arr in enumerate(child.chain)
-                ]
-                inserted += idx.size
-            valid = np.isfinite(child.points).all(axis=1)
-            for run in _split_runs(valid):
-                sub = _Node([arr[run].copy() for arr in child.chain], child.branches)
-                emit(sub, inserted)
-                frontier.append(sub)
+            child = branches + (branch,)
+            left = point_budget - used
+            stats = RefinementStats()
+            n = _allow(chain[0].size, left, stats)
+            grown = [arr[:n] for arr in chain]
+            grown.append(_preimage_points(params, grown[-1], branch, None))
+            grown = _refine(
+                grown, partial(pull_back, child), window, max_gap, math.inf, left, stats
+            )
+            used += grown[0].size
+            cut.budget_exhausted |= stats.budget_exhausted
+            for run in _split_runs(np.isfinite(grown[-1]).all(axis=1)):
+                sub = [arr[run] for arr in grown]
+                emit(sub, child, stats.inserted_points)
+                frontier.append((sub, child))
+            if cut.budget_exhausted:
+                break
+    for curve in curves:
+        curve.refinement.budget_exhausted = cut.budget_exhausted
     return curves
 
 

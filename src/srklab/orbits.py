@@ -313,7 +313,7 @@ class ScanRecord:
     branch: Branch
     status: str  # "closed-form" | "newton" | "no-real-root" |
     #              "itinerary-invalid" | "newton-failed" | "duplicate" |
-    #              "precision-limited"
+    #              "precision-limited" | "degenerate"
     orbit: SRkOrbit | None
     detail: str = ""
 
@@ -360,6 +360,8 @@ def _scan_one(
         u = srk_quadratic(params, k).get(branch)
     except OverflowError as err:  # sigma**k beyond the double range
         return ScanRecord(k, branch, "precision-limited", None, str(err))
+    except DegenerateCoefficientsError as err:  # d5 == 0, or c1*lam**k == 1
+        return ScanRecord(k, branch, "degenerate", None, str(err))
     if u is None:
         return ScanRecord(k, branch, "no-real-root", None, "negative discriminant")
     try:

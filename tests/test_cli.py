@@ -128,6 +128,12 @@ BAD_VALUES = [
         [],
         id="no-return-inverse",
     ),
+    pytest.param(
+        "manifolds",
+        {"manifolds": {"n_images": 5, "clip": [5, 6, 5, 6]}},
+        [],
+        id="clip-misses-unstable-curve",
+    ),
     pytest.param("basins", {"basins": {}}, ["--threads", "0"], id="threads-zero"),
     pytest.param("basins", {"basins": {}}, ["--resolution", "1x20"], id="resolution-flag-1"),
     pytest.param("basins", {"basins": {}}, ["--resolution", "ax20"], id="resolution-flag-str"),
@@ -235,6 +241,14 @@ class TestFindOrbits:
         summary = (tmp_path / "out" / "summary.csv").read_text()
         assert ",newton-failed," in summary and ",precision-limited," in summary
 
+    @pytest.mark.parametrize("override", [{"d5": 0}, {"c1": 1.0}], ids=["d5-zero", "c1-one"])
+    def test_exit_zero_with_degenerate_coefficients(self, tmp_path, capsys, override):
+        cfg = orbit_config(tmp_path, params={**PP_PARAMS, **override})
+        assert main(["find-orbits", "--config", cfg]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        summary = (tmp_path / "out" / "summary.csv").read_text()
+        assert "0,minus,degenerate,,,\n0,plus,degenerate,,,\n" in summary
+
 
 class TestCheckTheory:
     def test_pass_case(self, tmp_path):
@@ -282,6 +296,23 @@ class TestCheckTheory:
         report = json.loads((tmp_path / "out" / "theory.json").read_text())
         ratio = report["growth"][0]["fitted_ratio"]
         assert ratio == pytest.approx(1.2363, abs=2e-4)
+
+    def test_degenerate_perturbation_is_insufficient_data(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "theory.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "out"),
+                "theory": {"perturbations": [{"d5": 0.0}]},
+            },
+        )
+        assert main(["check-theory", "--config", cfg]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "growth [d5=0.0]: insufficient data" in captured.out
+        assert "Traceback" not in captured.err
+        report = json.loads((tmp_path / "out" / "theory.json").read_text())
+        assert "error" in report["growth"][0]
 
 
 class TestManifolds:
@@ -457,6 +488,21 @@ class TestBasins:
         err = capsys.readouterr().err
         assert "registry CSV inconsistent with params" in err
         assert "Traceback" not in err
+
+    def test_degenerate_params_have_no_attractors(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": {**PP_PARAMS, "d5": 0},
+                "output_dir": str(tmp_path / "out"),
+                "basins": {"resolution": [4, 4]},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "registry contains no attractors" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_tiny_resolution_rejected(self, tmp_path):
         cfg = write_config(

@@ -22,7 +22,7 @@ from srklab import (
     trace_stable,
     trace_unstable,
 )
-from srklab.manifolds import RefinementStats, _newton_preimage
+from srklab.manifolds import RefinementStats, _newton_preimage, _reiterate
 
 CLIP = Rect(-1.0, 2.5, -1.5, 2.0)
 
@@ -178,6 +178,27 @@ class TestTraceUnstable:
         curve = trace_unstable(pp, 30, CLIP, point_budget=500)
         assert curve.refinement.budget_exhausted
 
+    def test_negative_seed_scale_keeps_curve_order(self, all_cases):
+        # A negative seed runs the seed parameter downwards along the curve;
+        # midpoints must still go in between their neighbours, not be sorted.
+        for name, params in all_cases.items():
+            curve = trace_unstable(params, 45, CLIP, seed_scale=-1e-4)
+            assert curve.refinement.max_gap <= 1e-2, name
+
+    def test_provenance_bit_for_bit(self, all_cases):
+        # Tangency sharpening re-iterates (0, seed_t) generation times, so
+        # every point must be exactly that scalar iterate.
+        for name, params in all_cases.items():
+            curve = trace_unstable(params, 45, CLIP)
+            mismatched = [
+                i
+                for i, ((x, y), t, g) in enumerate(
+                    zip(curve.points.tolist(), curve.seed_t, curve.generation)
+                )
+                if tuple(_reiterate(params, float(t), int(g))) != (x, y)
+            ]
+            assert mismatched == [], f"{name}: {len(mismatched)} points off their seed"
+
 
 def segment_distance(p: Point2, polyline: np.ndarray) -> float:
     """Distance from p to a polyline given as an (N, 2) array."""
@@ -236,6 +257,16 @@ class TestTraceStable:
         with pytest.raises(DegenerateCoefficientsError):
             trace_stable(params, 1, CLIP)
         assert len(trace_stable(params, 0, CLIP)) == 1
+
+    def test_point_budget(self, np_case):
+        # Unlimited, depth 3 returns more than 3,000 points.  With that
+        # budget every sample made counts, so the points returned (a subset
+        # of them) stay within it, and every curve of the cut set is flagged.
+        budget = 3000
+        assert sum(c.points.shape[0] for c in trace_stable(np_case, 3, CLIP)) > budget
+        curves = trace_stable(np_case, 3, CLIP, point_budget=budget)
+        assert curves and all(c.refinement.budget_exhausted for c in curves)
+        assert sum(c.points.shape[0] for c in curves) <= budget
 
     def test_forward_consistency(self, all_cases):
         # Iterating any branch point forward by its depth lands on the

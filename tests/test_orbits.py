@@ -270,6 +270,19 @@ class TestScan:
         assert by_status["precision-limited"] == set(range(3181, 3191))
         assert all(r.detail for r in result.records if r.status == "precision-limited")
 
+    def test_degenerate_coefficients_recorded_not_raised(self, pp):
+        # d5 = 0 leaves no quadratic at any k; c1 = 1 zeroes 1 - c1*lam**k
+        # at k = 0 only.
+        result = scan_srk(pp.replace(d5=0.0), 0, 5)
+        assert {r.status for r in result.records} == {"degenerate"}
+        assert all("d5" in r.detail for r in result.records)
+        assert result.orbits == []
+        result = scan_srk(pp.replace(c1=1.0), 0, 5)
+        degenerate = [r for r in result.records if r.status == "degenerate"]
+        assert [(r.k, r.branch) for r in degenerate] == [(0, Branch.MINUS), (0, Branch.PLUS)]
+        assert all("c1*lam**k" in r.detail for r in degenerate)
+        assert {r.k for r in result.records} == set(range(6))
+
     def test_preserving_negative_eigenvalues(self, nn):
         result = scan_srk(nn, 0, 15)
         stable_k = sorted(o.k for o in result.stable_orbits())
