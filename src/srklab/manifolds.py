@@ -575,29 +575,30 @@ def detect_tangencies(curve: ManifoldCurve, axis_tol: float) -> list[TangencyHit
         and curve.params is not None
     )
 
-    for i in range(n - 1):
-        if not joined[i]:
-            continue
-        if y[i] == 0.0:
-            continue  # exact hits handled by the minimum scan
-        if y[i] * y[i + 1] < 0.0:
-            frac = y[i] / (y[i] - y[i + 1])
-            loc = Point2(
-                float(pts[i, 0] + frac * (pts[i + 1, 0] - pts[i, 0])),
-                0.0,
-            )
-            if i + 2 < n:
-                curv = float(y[i] - 2.0 * y[i + 1] + y[min(i + 2, n - 1)])
-            else:
-                curv = 0.0
-            hits.append(TangencyHit(loc, "transversal", math.copysign(1.0, curv) if curv else 0.0))
+    # Exact zeros are left to the minimum scan.
+    crossings = joined & (y[:-1] != 0.0) & (y[:-1] * y[1:] < 0.0)
+    for i in np.flatnonzero(crossings):
+        frac = y[i] / (y[i] - y[i + 1])
+        loc = Point2(
+            float(pts[i, 0] + frac * (pts[i + 1, 0] - pts[i, 0])),
+            0.0,
+        )
+        if i + 2 < n:
+            curv = float(y[i] - 2.0 * y[i + 1] + y[min(i + 2, n - 1)])
+        else:
+            curv = 0.0
+        hits.append(TangencyHit(loc, "transversal", math.copysign(1.0, curv) if curv else 0.0))
 
-    for i in range(1, n - 1):
-        if not (joined[i - 1] and joined[i]):
-            continue
-        ya, yb, yc = abs(y[i - 1]), abs(y[i]), abs(y[i + 1])
-        if not (yb <= ya and yb <= yc and yb < axis_tol):
-            continue
+    ay = np.abs(y)
+    minima = (
+        joined[:-1]
+        & joined[1:]
+        & (ay[1:-1] <= ay[:-2])
+        & (ay[1:-1] <= ay[2:])
+        & (ay[1:-1] < axis_tol)
+    )
+    for i in np.flatnonzero(minima) + 1:
+        ya, yb, yc = ay[i - 1], ay[i], ay[i + 1]
         if y[i] == 0.0 and y[i - 1] * y[i + 1] < 0.0:
             # The polyline passes through the axis exactly at a vertex.
             hits.append(

@@ -34,7 +34,7 @@ from .errors import (
     NotMinimalError,
     SingularJacobianError,
 )
-from .mapcore import Jacobian2, Point2, Region, eval_map, eval_return, eval_saddle, region_of
+from .mapcore import Jacobian2, Point2, Region, eval_map, eval_return, jacobian, region_of
 from .params import MapParams
 from .stability import StabilityClass, classify, orbit_jacobian
 
@@ -134,13 +134,18 @@ def srk_quadratic(params: MapParams, k: int) -> RootPair:
 
     The minus root corresponds to the branch that the theory predicts to
     be asymptotically stable.  Both roots absent means the discriminant
-    is negative (no single-round pair at this k).
+    is negative (no single-round pair at this k).  Raises
+    ``DegenerateCoefficientsError`` when ``d5 == 0``, when
+    ``c1*lam**k == 1``, or when the quadratic's leading coefficient
+    vanishes at this k.
     """
     if params.d5 == 0.0:
         raise DegenerateCoefficientsError("srk_quadratic requires d5 != 0")
     if k < 0:
         raise ValueError("k must be non-negative")
     qa, qb, qc = _quadratic_coefficients(params, k)
+    if qa == 0.0:
+        raise DegenerateCoefficientsError(f"vanishing leading coefficient at k={k}")
     disc = qb * qb - 4.0 * qa * qc
     if disc < 0.0:
         return RootPair(None, None)
@@ -165,28 +170,33 @@ def _itinerary(
     return regions, bad
 
 
+def _proper_divisors(n: int) -> list[int]:
+    """The divisors d < n of n, in increasing order."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)} - {n})
+
+
 def _finish_orbit(
-    params: MapParams,
     k: int,
     points: Sequence[Point2],
     closing: Point2,
+    jac: Jacobian2,
     regions: tuple[Region, ...],
     itinerary_ok: bool,
     branch: Branch | None,
     method: str,
 ) -> SRkOrbit:
-    """Label the orbit walked as ``points`` with closing image f^period(p0).
+    """Label the orbit walked as ``points`` with closing image f^period(p0)
+    and period Jacobian ``jac``.
 
     Raises ``NotMinimalError`` when ``points[d]`` is p0 (within
     ``MINIMALITY_TOL``) for a proper divisor d of the period.
     """
     p0 = points[0]
     period = len(points)
-    for d in range(1, period):
-        if period % d == 0:
-            if max(abs(points[d].x - p0.x), abs(points[d].y - p0.y)) <= MINIMALITY_TOL:
-                raise NotMinimalError(divisor=d)
-    jac = orbit_jacobian(params, points)
+    for d in _proper_divisors(period):
+        if max(abs(points[d].x - p0.x), abs(points[d].y - p0.y)) <= MINIMALITY_TOL:
+            raise NotMinimalError(divisor=d)
     tau, delta = jac.trace, jac.det
     return SRkOrbit(
         k=k,
@@ -217,23 +227,44 @@ def assemble_orbit(
 
     The above-strip point comes from ``_point_above_strip``; the return
     piece then the saddle piece applied k times produce the remaining
-    points.  Raises ``ItineraryInvalidError`` when any point falls
-    outside its required region (the closed form is then not a genuine
-    orbit of the piecewise map), and ``NotMinimalError`` when it closes
-    after a proper divisor of k + 1.
+    points.  One loop over plain floats steps the saddle piece, records
+    every point outside its required region, and multiplies the period
+    Jacobian: the return Jacobian at the above-strip point, then k times
+    the saddle Jacobian (lam, 0, 0, sigma), with the products
+    ``Jacobian2.matmul`` forms, so the result equals ``orbit_jacobian``
+    over the points bit for bit.  Raises ``ItineraryInvalidError`` when
+    any point falls outside its required region (the closed form is then
+    not a genuine orbit of the piecewise map), and ``NotMinimalError``
+    when it closes after a proper divisor of k + 1.
     """
+    lam, sigma, h0 = params.lam, params.sigma, params.h0
     p_up = _point_above_strip(params, k, u)
     points = [p_up]
-    if k > 0:
-        points.append(eval_return(params, p_up))
-        for _ in range(k - 1):
-            points.append(eval_saddle(params, points[-1]))
-    regions, violations = _itinerary(params, points)
+    region_up = region_of(params, p_up.y)
+    violations = [] if region_up is Region.UPPER else [(0, region_up)]
+    # The products orbit_jacobian forms through matmul, from the identity
+    # on; the 0.0 terms keep its signed zeros and NaNs.
+    a, b, c, d = jacobian(params, p_up).matmul(Jacobian2.identity())
+    x, y = eval_return(params, p_up)
+    for j in range(1, k + 1):
+        points.append(Point2(x, y))
+        if not y <= h0:
+            violations.append((j, region_of(params, y)))
+        a, b, c, d = (
+            lam * a + 0.0 * c,
+            lam * b + 0.0 * d,
+            0.0 * a + sigma * c,
+            0.0 * b + sigma * d,
+        )
+        x, y = lam * x, sigma * y
     if violations:
         raise ItineraryInvalidError(violations)
+    regions = (Region.UPPER,) + (Region.LOWER,) * k
     # In pure regions the map is the piece used above: one call closes the orbit.
     closing = eval_map(params, points[-1])
-    return _finish_orbit(params, k, points, closing, regions, True, branch, "closed-form")
+    return _finish_orbit(
+        k, points, closing, Jacobian2(a, b, c, d), regions, True, branch, "closed-form"
+    )
 
 
 def _cycle_and_residual(
@@ -302,7 +333,10 @@ def newton_periodic(
     if res > tol:
         raise NoConvergenceError(iterations=max_iter, last_residual=res)
     regions, violations = _itinerary(params, pts)
-    return _finish_orbit(params, period - 1, pts, closing, regions, not violations, None, "newton")
+    jac = orbit_jacobian(params, pts)
+    return _finish_orbit(
+        period - 1, pts, closing, jac, regions, not violations, None, "newton"
+    )
 
 
 @dataclass(frozen=True)
@@ -360,7 +394,7 @@ def _scan_one(
         u = srk_quadratic(params, k).get(branch)
     except OverflowError as err:  # sigma**k beyond the double range
         return ScanRecord(k, branch, "precision-limited", None, str(err))
-    except DegenerateCoefficientsError as err:  # d5 == 0, or c1*lam**k == 1
+    except DegenerateCoefficientsError as err:  # d5 == 0, c1*lam**k == 1, or qa == 0
         return ScanRecord(k, branch, "degenerate", None, str(err))
     if u is None:
         return ScanRecord(k, branch, "no-real-root", None, "negative discriminant")
@@ -416,11 +450,9 @@ def orbits_to_csv(orbits: Iterable[SRkOrbit]) -> str:
     lines = [_CSV_HEADER]
     for orbit in orbits:
         branch = orbit.branch.value if orbit.branch is not None else ""
-        for j, p in enumerate(orbit.points):
-            lines.append(
-                f"{orbit.k},{orbit.period},{branch},{j},{p.x!r},{p.y!r},"
-                f"{orbit.trace!r},{orbit.det!r},{orbit.stability.value},{orbit.residual!r}"
-            )
+        head = f"{orbit.k},{orbit.period},{branch},"
+        tail = f",{orbit.trace!r},{orbit.det!r},{orbit.stability.value},{orbit.residual!r}"
+        lines.extend(f"{head}{j},{x!r},{y!r}{tail}" for j, (x, y) in enumerate(orbit.points))
     return "\n".join(lines) + "\n"
 
 

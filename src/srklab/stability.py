@@ -56,6 +56,10 @@ def orbit_jacobian(params: MapParams, points: Sequence[Point2]) -> Jacobian2:
     orbits lose their above-strip point near k ~ 150-170, where
     ``y_star + u`` rounds to ``y_star``, and the product taken over
     those points mislabels the orbit.
+
+    Newton's steps and labels use this product, and the tests use it as
+    the reference.  Closed-form orbits, whose itinerary is known, get the
+    same product bit for bit from the loop in ``assemble_orbit``.
     """
     total = Jacobian2.identity()
     for p in points:

@@ -17,6 +17,8 @@ from srklab.cli import _SCHEMA, EXIT_CONFIG, EXIT_HYPOTHESIS_FAIL, EXIT_IO, EXIT
 
 PP_PARAMS = {"lambda": 0.8, "sigma": 1.25, "c2": -0.5, "d1": 1.0, "d5": 1.0}
 NP_PARAMS = {"lambda": -0.8, "sigma": 1.25, "c2": -0.5, "d1": -1.0, "d5": 1.0}
+# With PP_PARAMS, the single-round quadratic's leading coefficient is 0 at k = 0.
+QA_ZERO = {"c2": 0.5, "d4": 0.2, "d5": -0.1}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = {
     "orbits": "find-orbits",
@@ -241,7 +243,11 @@ class TestFindOrbits:
         summary = (tmp_path / "out" / "summary.csv").read_text()
         assert ",newton-failed," in summary and ",precision-limited," in summary
 
-    @pytest.mark.parametrize("override", [{"d5": 0}, {"c1": 1.0}], ids=["d5-zero", "c1-one"])
+    @pytest.mark.parametrize(
+        "override",
+        [{"d5": 0}, {"c1": 1.0}, QA_ZERO],
+        ids=["d5-zero", "c1-one", "leading-coefficient-zero"],
+    )
     def test_exit_zero_with_degenerate_coefficients(self, tmp_path, capsys, override):
         cfg = orbit_config(tmp_path, params={**PP_PARAMS, **override})
         assert main(["find-orbits", "--config", cfg]) == EXIT_OK
@@ -503,6 +509,21 @@ class TestBasins:
         err = capsys.readouterr().err
         assert "registry contains no attractors" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_vanishing_leading_coefficient_skips_k0(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": {**PP_PARAMS, **QA_ZERO},
+                "output_dir": str(tmp_path / "out"),
+                "basins": {},
+            },
+        )
+        assert main(["basins", "--config", cfg, "--resolution", "8x8"]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        legend = (tmp_path / "out" / "legend.csv").read_text()
+        assert "sr1," in legend and "sr0," not in legend
 
     def test_tiny_resolution_rejected(self, tmp_path):
         cfg = write_config(

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from srklab import (
+    EXAMPLE_CASES,
     Branch,
+    DegenerateCoefficientsError,
     EscapeError,
     ItineraryInvalidError,
     NoConvergenceError,
@@ -24,6 +26,8 @@ from srklab import (
     scan_srk,
     srk_quadratic,
 )
+from srklab.mapcore import eval_return, eval_saddle
+from srklab.orbits import _itinerary, _point_above_strip
 from srklab.stability import orbit_jacobian
 
 
@@ -127,6 +131,58 @@ class TestAssembleOrbit:
                 assert orbit.residual <= 1e-12
 
 
+def piecewise_walk(params, k, u):
+    """The closed-form points built one piece call at a time."""
+    points = [_point_above_strip(params, k, u)]
+    if k > 0:
+        points.append(eval_return(params, points[0]))
+        for _ in range(k - 1):
+            points.append(eval_saddle(params, points[-1]))
+    return points
+
+
+LOW_K, HIGH_K = range(0, 61), range(390, 401)
+FUSED_WALK_SETS = {
+    "pp": (EXAMPLE_CASES["pp"], [LOW_K, HIGH_K]),
+    "nn": (EXAMPLE_CASES["nn"], [LOW_K]),
+    "pn": (EXAMPLE_CASES["pn"], [LOW_K]),
+    "np": (EXAMPLE_CASES["np"], [LOW_K, HIGH_K]),
+    "pp-perturbed": (
+        EXAMPLE_CASES["pp"].replace(c1=0.1, c2=-0.3, d3=0.05, d4=0.05),
+        [LOW_K],
+    ),
+}
+
+
+class TestFusedWalk:
+    """``assemble_orbit`` builds the points, checks the itinerary and forms
+    the period Jacobian in one loop; each must equal the separate
+    per-point computation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "params, ranges", list(FUSED_WALK_SETS.values()), ids=list(FUSED_WALK_SETS)
+    )
+    def test_matches_per_point_walk(self, params, ranges):
+        checked = {"closed-form": 0, "itinerary-invalid": 0}
+        for ks in ranges:
+            for record in scan_srk(params, ks.start, ks.stop - 1).records:
+                if record.status not in checked:
+                    continue
+                checked[record.status] += 1
+                u = srk_quadratic(params, record.k).get(record.branch)
+                points = piecewise_walk(params, record.k, u)
+                regions, violations = _itinerary(params, points)
+                if record.status == "itinerary-invalid":
+                    assert record.detail == str(ItineraryInvalidError(violations))
+                    continue
+                orbit = record.orbit
+                assert orbit.points == tuple(points)
+                assert orbit.regions == regions
+                jac = orbit_jacobian(params, orbit.points)
+                assert (repr(orbit.trace), repr(orbit.det)) == (repr(jac.trace), repr(jac.det))
+        assert checked["closed-form"] > 0
+
+
 class TestNewton:
     def test_recovers_closed_form_from_noisy_seed(self, pp):
         target = assemble_orbit(pp, 3, 0.0, Branch.MINUS)
@@ -207,6 +263,17 @@ class TestSingleWalk:
         assert orbit.residual <= 1e-12
         assert len(eval_map_calls) == 4
 
+    def test_closed_form_takes_no_per_point_product(self, pp, monkeypatch):
+        import srklab.orbits as orbits
+
+        def refuse(params, points):
+            raise AssertionError("closed form must not call orbit_jacobian")
+
+        monkeypatch.setattr(orbits, "orbit_jacobian", refuse)
+        orbit = assemble_orbit(pp, 6, srk_quadratic(pp, 6).u_minus)
+        jac = orbit_jacobian(pp, orbit.points)
+        assert (orbit.trace, orbit.det) == (jac.trace, jac.det)
+
     def test_closed_form_makes_one_map_call(self, pp, eval_map_calls):
         orbit = assemble_orbit(pp, 6, srk_quadratic(pp, 6).u_minus)
         assert len(eval_map_calls) == 1
@@ -282,6 +349,15 @@ class TestScan:
         assert [(r.k, r.branch) for r in degenerate] == [(0, Branch.MINUS), (0, Branch.PLUS)]
         assert all("c1*lam**k" in r.detail for r in degenerate)
         assert {r.k for r in result.records} == set(range(6))
+        # The quadratic's leading coefficient d5 + d4*c2 vanishes at k = 0.
+        qa_zero = pp.replace(c2=0.5, d4=0.2, d5=-0.1)
+        with pytest.raises(DegenerateCoefficientsError):
+            srk_quadratic(qa_zero, 0)
+        result = scan_srk(qa_zero, 0, 5)
+        degenerate = [r for r in result.records if r.status == "degenerate"]
+        assert [(r.k, r.branch) for r in degenerate] == [(0, Branch.MINUS), (0, Branch.PLUS)]
+        assert all("vanishing leading coefficient" in r.detail for r in degenerate)
+        assert len(result.stable_orbits()) == 5
 
     def test_preserving_negative_eigenvalues(self, nn):
         result = scan_srk(nn, 0, 15)
@@ -361,6 +437,27 @@ class TestOrbitCsv:
             assert entry["stability"] == orbit.stability.value
             for got, want in zip(entry["points"], orbit.points):
                 assert got.x == want.x and got.y == want.y
+
+    def test_matches_per_row_formatting(self, pp):
+        def reference(orbits):
+            lines = ["k,period,branch,j,x_j,y_j,trace,det,stability,residual"]
+            for orbit in orbits:
+                branch = orbit.branch.value if orbit.branch is not None else ""
+                for j, p in enumerate(orbit.points):
+                    lines.append(
+                        f"{orbit.k},{orbit.period},{branch},{j},{p.x!r},{p.y!r},"
+                        f"{orbit.trace!r},{orbit.det!r},{orbit.stability.value},"
+                        f"{orbit.residual!r}"
+                    )
+            return "\n".join(lines) + "\n"
+
+        scanned = scan_srk(pp, 0, 60).orbits
+        assert sum(o.method == "newton" for o in scanned) == 3
+        bare = newton_periodic(pp, Point2(0.512, 1.0), 4)
+        assert bare.branch is None
+        orbits = [*scanned, bare]
+        assert orbits_to_csv(orbits) == reference(orbits)
+        assert orbits_to_csv([]) == reference([])
 
     def test_header_enforced(self):
         with pytest.raises(ValueError):
