@@ -377,59 +377,50 @@ def raster(
 ) -> BasinGrid:
     """Classify every cell center of an nx-by-ny grid over the window.
 
-    Rows are independent work units; the result is identical for any
-    thread count because every cell's orbit is computed elementwise.
+    Rows are dealt round-robin to at most ``min(threads, ny)`` workers,
+    one batch each; the labels are identical for any thread count because
+    every cell's orbit is computed elementwise.
     """
     if window.is_empty():
         raise InvalidWindowError(f"empty raster window {window}")
     if nx < 2 or ny < 2:
         raise InvalidWindowError("resolution must be at least 2x2")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     xs, ys = grid_centers(window, nx, ny)
-    labels = np.empty((nx, ny), dtype=np.int32)
-    iter_sum = 0
-    iter_max = 0
-    cycle_cells: dict[int, int] = {}
-    row_ids = list(range(ny))
-
-    def run_rows(rows: list[int]) -> tuple[int, int, dict[int, int]]:
-        # One batch for the whole chunk; per-cell results are elementwise,
-        # so chunking does not affect any label.
-        chunk_cycles: dict[int, int] = {}
-        if not rows:
-            return 0, 0, chunk_cycles
-        pts = np.concatenate(
-            [np.column_stack((xs, np.full(nx, ys[iy]))) for iy in rows]
-        )
-        chunk_labels, chunk_iters = classify_batch(
-            params, registry, pts, limits, cycle_cells=chunk_cycles
-        )
-        for pos, iy in enumerate(rows):
-            labels[:, iy] = chunk_labels[pos * nx : (pos + 1) * nx]
-        return int(chunk_iters.sum()), int(chunk_iters.max()), chunk_cycles
-
-    if threads <= 1:
-        parts = [run_rows(row_ids)]
-    else:
-        chunks = [row_ids[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_rows, chunks))
-    for part_sum, part_max, part_cycles in parts:
-        iter_sum += part_sum
-        iter_max = max(iter_max, part_max)
-        for period, count in part_cycles.items():
-            cycle_cells[period] = cycle_cells.get(period, 0) + count
-
     total = nx * ny
+    # Cell (ix, iy) is entry iy * nx + ix.
+    points = np.column_stack((np.tile(xs, ny), np.repeat(ys, nx)))
+    labels = np.empty(total, dtype=np.int32)
+    iters = np.empty(total, dtype=np.int64)
+    workers = min(threads, ny)
+    cell_ids = np.arange(total).reshape(ny, nx)
+    chunks = [cell_ids[i::workers].ravel() for i in range(workers)]
+
+    def run_chunk(index: np.ndarray) -> dict[int, int]:
+        chunk_cycles: dict[int, int] = {}
+        labels[index], iters[index] = classify_batch(
+            params, registry, points[index], limits, cycle_cells=chunk_cycles
+        )
+        return chunk_cycles
+
+    cycle_cells: dict[int, int] = {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for chunk_cycles in pool.map(run_chunk, chunks):
+            for period, count in chunk_cycles.items():
+                cycle_cells[period] = cycle_cells.get(period, 0) + count
+
     stats = IterationStats(
         total_points=total,
         classified=int((labels >= 0).sum()),
         divergent=int((labels == DIVERGENT).sum()),
         unknown=int((labels == UNKNOWN).sum()),
-        max_iterations=iter_max,
-        mean_iterations=iter_sum / total,
+        max_iterations=int(iters.max()),
+        mean_iterations=int(iters.sum()) / total,
         cycle_cells=dict(sorted(cycle_cells.items())),
     )
-    return BasinGrid(window=window, nx=nx, ny=ny, labels=labels, stats=stats)
+    grid_labels = np.ascontiguousarray(labels.reshape(ny, nx).T)
+    return BasinGrid(window=window, nx=nx, ny=ny, labels=grid_labels, stats=stats)
 
 
 # -- output -------------------------------------------------------------------
@@ -441,19 +432,12 @@ def write_ppm(grid: BasinGrid, registry: AttractorRegistry, path: str) -> None:
     Unknown cells are black, divergent cells white, attractor cells use
     their registry color.  Byte-exact for identical grids.
     """
-    color_table = np.zeros((len(registry) + 2, 3), dtype=np.uint8)
-    color_table[0] = (0, 0, 0)  # UNKNOWN
-
-    color_table[1] = (255, 255, 255)  # DIVERGENT
-    for entry in registry.entries:
-        color_table[entry.id + 2] = entry.color
-    index = np.where(
-        grid.labels == UNKNOWN,
-        0,
-        np.where(grid.labels == DIVERGENT, 1, grid.labels + 2),
+    # Row label + 2: divergent white, unknown black, then attractors by id.
+    color_table = np.array(
+        [(255, 255, 255), (0, 0, 0)] + [e.color for e in registry.entries], dtype=np.uint8
     )
     # labels[ix, iy] -> image rows top to bottom: iy = ny-1 .. 0.
-    image = color_table[index.T[::-1]]
+    image = color_table[grid.labels.T[::-1] + 2]
     header = f"P6\n{grid.nx} {grid.ny}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .basins import (
@@ -234,9 +234,7 @@ def cmd_check_theory(config: ExperimentConfig) -> int:
     k_lo, k_hi = config.section["growth_k_min"], config.section["growth_k_max"]
     for entry in config.section["perturbations"]:
         try:
-            perturbed = config.params.replace(
-                **{("lam" if k == "lambda" else k): float(v) for k, v in entry.items()}
-            )
+            perturbed = config.params.replace(**entry)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"bad perturbation {entry}: {err}") from err
         label = ", ".join(f"{k}={v}" for k, v in entry.items())
@@ -250,15 +248,7 @@ def cmd_check_theory(config: ExperimentConfig) -> int:
             f"growth [{label}]: fitted ratio {diag.fitted_ratio!r}"
             + (" (degenerate flat fit)" if diag.degenerate else "")
         )
-        payload["growth"].append(
-            {
-                "perturbation": entry,
-                "k_values": list(diag.k_values),
-                "tau_values": list(diag.tau_values),
-                "fitted_ratio": diag.fitted_ratio,
-                "degenerate": diag.degenerate,
-            }
-        )
+        payload["growth"].append({"perturbation": entry, **asdict(diag)})
 
     text = "\n\n".join(blocks) + "\n"
     _write(os.path.join(config.output_dir, "theory.txt"), text)
@@ -354,9 +344,7 @@ def cmd_basins(config: ExperimentConfig) -> int:
     lines = ["label,cells,fraction"]
     names = {UNKNOWN: "unknown", DIVERGENT: "divergent"}
     for label in sorted(fractions):
-        name = names.get(label) or next(
-            e.label for e in registry.entries if e.id == label
-        )
+        name = names.get(label) or registry.entries[label].label
         cells = round(fractions[label] * nx * ny)
         lines.append(f"{name},{cells},{fractions[label]!r}")
     _write(os.path.join(config.output_dir, "stats.csv"), "\n".join(lines) + "\n")

@@ -283,13 +283,7 @@ def _cycle_and_residual(
     return pts, closing
 
 
-def newton_periodic(
-    params: MapParams,
-    seed: Point2,
-    period: int,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> SRkOrbit:
+def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
     """Damped Newton iteration on g(p) = f^period(p) - p.
 
     The Jacobian of g is the chain-rule product of the single-step
@@ -304,8 +298,8 @@ def newton_periodic(
         raise NoConvergenceError(iterations=0, last_residual=math.inf)
     pts, closing = _cycle_and_residual(params, p, period)
     res = max(abs(closing.x - p.x), abs(closing.y - p.y))
-    for iteration in range(max_iter):
-        if res <= tol:
+    for iteration in range(NEWTON_MAX_ITER):
+        if res <= NEWTON_TOL:
             break
         jac_prod = orbit_jacobian(params, pts)
         dg = Jacobian2(jac_prod.a - 1.0, jac_prod.b, jac_prod.c, jac_prod.d - 1.0)
@@ -322,7 +316,7 @@ def newton_periodic(
                 step_scale *= 0.5
                 continue
             trial_res = max(abs(trial_closing.x - trial.x), abs(trial_closing.y - trial.y))
-            if trial_res < res or trial_res <= tol:
+            if trial_res < res or trial_res <= NEWTON_TOL:
                 p, pts, closing, res = trial, trial_pts, trial_closing, trial_res
                 break
             step_scale *= 0.5
@@ -330,8 +324,8 @@ def newton_periodic(
             raise NoConvergenceError(iterations=iteration + 1, last_residual=res)
         if max(abs(p.x), abs(p.y)) > _NEWTON_ESCAPE:
             raise NoConvergenceError(iterations=iteration + 1, last_residual=res)
-    if res > tol:
-        raise NoConvergenceError(iterations=max_iter, last_residual=res)
+    if res > NEWTON_TOL:
+        raise NoConvergenceError(iterations=NEWTON_MAX_ITER, last_residual=res)
     regions, violations = _itinerary(params, pts)
     jac = orbit_jacobian(params, pts)
     return _finish_orbit(

@@ -131,18 +131,16 @@ class MapParams:
     def replace(self, **overrides: float) -> "MapParams":
         """Return new params with given fields replaced.
 
-        Changing ``lam`` without giving thresholds recomputes ``h0``/``h1``.
+        Takes the keys of ``from_dict``; ``lam`` also names ``lambda``.
+        Changing it without giving thresholds recomputes ``h0``/``h1``.
         """
+        given = {(_LAM_KEY if k == "lam" else k): v for k, v in overrides.items()}
+        if len(given) < len(overrides):
+            raise ValueError("'lam' and 'lambda' name the same parameter")
         data = self.to_dict()
-        for key, val in overrides.items():
-            json_key = _LAM_KEY if key == "lam" else key
-            if json_key not in data:
-                raise ValueError(f"unknown parameter '{key}'")
-            data[json_key] = float(val)
-        if ("lam" in overrides) and ("h0" not in overrides and "h1" not in overrides):
-            data.pop("h0")
-            data.pop("h1")
-        return MapParams.from_dict(data)
+        if _LAM_KEY in given and "h0" not in given and "h1" not in given:
+            del data["h0"], data["h1"]
+        return MapParams.from_dict({**data, **given})
 
 
 def example_family(

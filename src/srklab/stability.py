@@ -67,12 +67,12 @@ def orbit_jacobian(params: MapParams, points: Sequence[Point2]) -> Jacobian2:
     return total
 
 
-def classify(tau: float, delta: float, tol: float = BOUNDARY_TOL) -> StabilityClass:
+def classify(tau: float, delta: float) -> StabilityClass:
     """Classify a (trace, determinant) pair against the stability triangle."""
     inside = (
-        delta < 1.0 - tol
-        and delta > tau - 1.0 + tol
-        and delta > -tau - 1.0 + tol
+        delta < 1.0 - BOUNDARY_TOL
+        and delta > tau - 1.0 + BOUNDARY_TOL
+        and delta > -tau - 1.0 + BOUNDARY_TOL
     )
     if inside:
         return StabilityClass.ASYMPTOTICALLY_STABLE
@@ -83,13 +83,13 @@ def classify(tau: float, delta: float, tol: float = BOUNDARY_TOL) -> StabilityCl
         m1 = abs((tau - root) / 2.0)
         m2 = abs((tau + root) / 2.0)
         lo, hi = min(m1, m2), max(m1, m2)
-        if lo > 1.0 + tol:
+        if lo > 1.0 + BOUNDARY_TOL:
             return StabilityClass.SOURCE
-        if hi > 1.0 + tol and lo < 1.0 - tol:
+        if hi > 1.0 + BOUNDARY_TOL and lo < 1.0 - BOUNDARY_TOL:
             return StabilityClass.SADDLE
         return StabilityClass.NON_HYPERBOLIC
     modulus = math.sqrt(max(delta, 0.0))
-    if modulus > 1.0 + tol:
+    if modulus > 1.0 + BOUNDARY_TOL:
         return StabilityClass.SOURCE
     return StabilityClass.NON_HYPERBOLIC
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from srklab import (
     newton_periodic,
     scan_srk,
 )
+from srklab import basins
 from srklab.basins import (
     DIVERGENT,
     UNKNOWN,
@@ -243,9 +246,52 @@ class TestRaster:
         limits = ClassifyLimits(max_iter=2000)
         one = raster(pp, pp_registry, WINDOW, 40, 40, limits, threads=1)
         two = raster(pp, pp_registry, WINDOW, 40, 40, limits, threads=1)
-        four = raster(pp, pp_registry, WINDOW, 40, 40, limits, threads=4)
+        # More workers than cores, switching often, all writing one array.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            four = raster(pp, pp_registry, WINDOW, 40, 40, limits, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(one.labels, two.labels)
         assert np.array_equal(one.labels, four.labels)
+        assert four.stats == one.stats
+
+    def test_workers_capped_at_rows(self, pp, pp_registry, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Runs the chunks in the calling thread and records them."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.chunks = []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                self.chunks = list(chunks)
+                return [fn(chunk) for chunk in self.chunks]
+
+        limits = ClassifyLimits(max_iter=2000)
+        want = raster(pp, pp_registry, WINDOW, 4, 4, limits)
+        monkeypatch.setattr(basins, "ThreadPoolExecutor", InlinePool)
+        grid = raster(pp, pp_registry, WINDOW, 4, 4, limits, threads=5000)
+        assert [pool.max_workers for pool in pools] == [4]
+        assert len(pools[0].chunks) == 4
+        assert all(len(chunk) for chunk in pools[0].chunks)
+        assert np.array_equal(grid.labels, want.labels)
+        assert grid.stats == want.stats
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, pp, pp_registry, threads):
+        with pytest.raises(ValueError, match="threads"):
+            raster(pp, pp_registry, WINDOW, 4, 4, threads=threads)
 
     def test_subsample_consistency(self, pp, pp_registry):
         # A cell's label depends only on its center point: classifying

@@ -325,6 +325,12 @@ class TestParams:
         assert smaller.h0 == pytest.approx(2.0 / 3.0)
         assert smaller.sigma == pp.sigma
 
+    def test_replace_takes_the_json_lambda_key(self, pp):
+        assert pp.replace(**{"lambda": 0.5}) == pp.replace(lam=0.5)
+        assert pp.replace(**{"lambda": 0.9}).h0 == pytest.approx(2.8 / 3.0)
+        with pytest.raises(ValueError, match="same parameter"):
+            pp.replace(lam=0.5, **{"lambda": 0.5})
+
     def test_file_round_trip(self, pp, tmp_path):
         from srklab.params import dump_params, load_params
 
