@@ -60,6 +60,9 @@ _CYCLE_CLOSE_TOL = 1e-9
 _CYCLE_ON_TOL = 1e-7
 _CYCLE_CLEARANCE = 10.0
 
+# Upper bound on the cells of one proximity prefilter table (1 MiB of bools).
+_TABLE_CELLS = 2**20
+
 
 @dataclass(frozen=True)
 class ClassifyLimits:
@@ -180,12 +183,54 @@ def _axis_near(sorted_coords: np.ndarray, v: np.ndarray, bound: float) -> np.nda
 
     The nearest coordinate in value is one of the two sorted neighbours of
     v's insertion point, and rounded subtraction is monotone, so this is
-    exactly the one-axis part of the max-norm distance.
+    exactly the one-axis part of the max-norm distance.  It is the second
+    stage of the proximity prefilter, run only on the values that
+    ``_AxisTable.near`` flags.
     """
     i = np.searchsorted(sorted_coords, v)
     below = sorted_coords[np.maximum(i - 1, 0)]
     above = sorted_coords[np.minimum(i, sorted_coords.size - 1)]
     return np.minimum(np.abs(v - below), np.abs(above - v)) <= bound
+
+
+class _AxisTable:
+    """Occupancy table of one axis: the first stage of the proximity prefilter.
+
+    The axis is cut into cells of width h from ``lo``; a cell is marked when
+    it lies within one cell of [c - bound, c + bound] for some registry
+    coordinate c.  Every index is computed as ``(t - lo) * inv_h``, which is
+    monotone in t and off by far less than a cell (h is at least 2**20 ulps
+    of the largest coordinate), so the one-cell margin makes ``near`` true
+    wherever ``_axis_near`` is: the table is a superset, never a miss.  The
+    first and last cells stay unmarked, so clipped out-of-range values read
+    False.  At most _TABLE_CELLS + 8 cells, whatever ``bound`` is; a bound
+    so near the float limit that the cell indices would overflow gives a
+    one-cell table that flags every finite value.
+    """
+
+    def __init__(self, coords: np.ndarray, bound: float) -> None:
+        low, high = coords.min() - bound, coords.max() + bound
+        scale = max(abs(low), abs(high))
+        with np.errstate(over="ignore"):
+            h = max((high - low) / _TABLE_CELLS, bound / 2, np.spacing(scale) * _TABLE_CELLS)
+            self.lo = low - 4 * h
+            fits = np.isfinite(high + 4 * h - self.lo)
+        if not fits:
+            self.lo, self.inv_h, self.cells = 0.0, 0.0, np.ones(1, dtype=bool)
+            return
+        self.inv_h = 1.0 / h
+        size = int((high - low) * self.inv_h) + 8
+        first = np.floor((coords - bound - self.lo) * self.inv_h).astype(np.intp) - 1
+        last = np.floor((coords + bound - self.lo) * self.inv_h).astype(np.intp) + 1
+        count = np.zeros(size, dtype=np.int32)
+        np.add.at(count, first, 1)
+        np.add.at(count, last + 1, -1)
+        self.cells = np.cumsum(count, out=count) > 0
+
+    def near(self, v: np.ndarray) -> np.ndarray:
+        """Whether each finite v may lie within ``bound`` of a coordinate."""
+        index = np.clip((v - self.lo) * self.inv_h, 0, self.cells.size - 1)
+        return self.cells[index.astype(np.intp)]
 
 
 def _return_periods(params: MapParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -238,6 +283,13 @@ def classify_batch(
     on a stable cycle outside the registry stop early as UNKNOWN, with
     the step they stopped at as their count; when ``cycle_cells`` is
     given, it is incremented by the number of such cells per period.
+
+    Each step, the proximity test runs in three stages.  One occupancy
+    table lookup per axis (``_AxisTable``) drops the points that are not
+    near a registry coordinate on both axes; the exact per-axis test
+    ``_axis_near`` runs on the survivors; the KD-tree query on what is
+    left decides.  Each stage flags a superset of the next, so only the
+    query's hits update a point's candidate attractor and run length.
     """
     if len(registry) == 0:
         raise ValueError("registry must contain at least one attractor")
@@ -245,6 +297,8 @@ def classify_batch(
     tree = cKDTree(reg_pts)
     reg_x, reg_y = np.sort(reg_pts[:, 0]), np.sort(reg_pts[:, 1])
     bound = limits.prox_tol * (1.0 + 1e-12)
+    table_x, table_y = _AxisTable(reg_x, bound), _AxisTable(reg_y, bound)
+    radius = limits.escape_radius
     clearance = _CYCLE_CLEARANCE * limits.prox_tol
     cycles: list[tuple[np.ndarray, bool]] = []  # polished cycles, and whether cells retire on them
     if cycle_cells is None:
@@ -269,13 +323,17 @@ def classify_batch(
         x, y, idx = x[keep], y[keep], idx[keep]
         candidate, run = candidate[keep], run[keep]
 
+    def check_escape(step: int) -> None:
+        """Retire points beyond the escape radius; NaN and inf escape too."""
+        escaped = ~((np.abs(x) <= radius) & (np.abs(y) <= radius))
+        if escaped.any():
+            retire(escaped, DIVERGENT, step)
+
     def check_proximity(step: int) -> None:
-        """Update candidate/run and retire points that completed a period."""
-        nonlocal candidate, run
-        # Only points near a registry coordinate on both axes can be hits.
-        maybe = np.flatnonzero(_axis_near(reg_x, x, bound) & _axis_near(reg_y, y, bound))
-        att = np.full(x.size, -1, dtype=np.int64)
-        need = np.zeros(x.size, dtype=np.int64)
+        """Update candidate/run at the tree's hits; retire points that completed a period."""
+        maybe = np.flatnonzero(table_x.near(x) & table_y.near(y))
+        maybe = maybe[_axis_near(reg_x, x[maybe], bound) & _axis_near(reg_y, y[maybe], bound)]
+        hit = nearest = np.empty(0, dtype=np.intp)
         if maybe.size:
             dist, nearest = tree.query(
                 np.column_stack((x[maybe], y[maybe])),
@@ -283,15 +341,18 @@ def classify_batch(
                 p=np.inf,
                 distance_upper_bound=bound,
             )
-            hit = np.isfinite(dist)
-            att[maybe[hit]] = owner[nearest[hit]]
-            need[maybe[hit]] = owner_period[nearest[hit]]
-        near = att >= 0
-        run = np.where(near & (att == candidate), run + 1, np.where(near, 1, 0))
-        candidate = att
-        done = near & (run >= need)
+            found = np.isfinite(dist)
+            hit, nearest = maybe[found], nearest[found]
+        att = owner[nearest]
+        hit_run = np.where(att == candidate[hit], run[hit] + 1, 1)
+        candidate.fill(-1)
+        run.fill(0)
+        candidate[hit], run[hit] = att, hit_run
+        done = hit_run >= owner_period[nearest]
         if done.any():
-            retire(done, candidate[done].astype(np.int32), step)
+            mask = np.zeros(x.size, dtype=bool)
+            mask[hit[done]] = True
+            retire(mask, att[done].astype(np.int32), step)
 
     def check_cycles(step: int) -> None:
         """Retire points sitting on a stable cycle outside the registry."""
@@ -320,22 +381,14 @@ def classify_batch(
                 cycle_cells[int(p)] = cycle_cells.get(int(p), 0) + int(count)
             retire(on_cycle, UNKNOWN, step)
 
-    # Initial escape check (step 0) before any iteration.
-    escaped = (np.abs(x) > limits.escape_radius) | (np.abs(y) > limits.escape_radius)
-    if escaped.any():
-        retire(escaped, DIVERGENT, 0)
+    check_escape(0)
     check_proximity(0)
 
     for step in range(1, limits.max_iter + 1):
         if idx.size == 0:
             break
         x, y = eval_map_arrays(params, x, y)
-        bad = ~(np.isfinite(x) & np.isfinite(y))
-        escaped = bad | (np.abs(x) > limits.escape_radius) | (
-            np.abs(y) > limits.escape_radius
-        )
-        if escaped.any():
-            retire(escaped, DIVERGENT, step)
+        check_escape(step)
         if idx.size == 0:
             break
         check_proximity(step)

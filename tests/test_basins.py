@@ -208,6 +208,92 @@ class TestEngineEquivalence:
         at_tol = np.array([max(abs(dx), abs(dy)) == tol for dx, dy in offsets] * 2 + [False] * 2)
         assert np.array_equal(hit_at_start, at_tol)
 
+    @pytest.mark.parametrize("name", ["pp", "np"])
+    def test_labels_match_scalar_reference_deep_registry(self, name):
+        # The benchmark's registry depth: SR_k for k = 0..30 on the shipped window.
+        params = EXAMPLE_CASES[name]
+        registry = AttractorRegistry.from_orbits(params, scan_srk(params, 0, 30).orbits)
+        limits = ClassifyLimits(max_iter=800)
+        xs, ys = grid_centers(WINDOW, 12, 12)
+        pts = np.column_stack([a.ravel() for a in np.meshgrid(xs, ys)])
+        labels, iters = classify_batch(params, registry, pts, limits)
+        expected, expected_iters = reference_classify(params, registry, pts, limits)
+        assert np.array_equal(labels, expected)
+        assert np.array_equal(iters, expected_iters)
+        assert (labels >= 0).sum() > 0
+
+    def test_non_finite_start_diverges_at_step_zero(self, pp, pp_registry):
+        inf, nan = float("inf"), float("nan")
+        pts = np.array([[nan, 0.5], [0.5, nan], [inf, 0.5], [0.5, -inf], [nan, nan]])
+        limits = ClassifyLimits(max_iter=50)
+        labels, iters = classify_batch(pp, pp_registry, pts, limits)
+        expected, expected_iters = reference_classify(pp, pp_registry, pts, limits)
+        assert np.array_equal(labels, expected)
+        assert np.array_equal(iters, expected_iters)
+        assert np.all(labels == DIVERGENT)
+        assert np.all(iters == 0)
+
+
+class TestAxisTable:
+    """The occupancy table flags every value the exact axis test flags."""
+
+    @pytest.mark.parametrize("prox_tol", [2.0**-60, 2.0**-40, 2.0**-17, 1e-5, 1e-3, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_superset_of_exact_axis_test(self, prox_tol, seed):
+        rng = np.random.default_rng(seed)
+        radius = ClassifyLimits().escape_radius
+        bound = prox_tol * (1.0 + 1e-12)
+        coords = rng.uniform(-0.8, 1.5, 60)
+        coords = np.concatenate([coords, coords[:10], [-0.8, 0.0, -0.0, 1.5]])  # with duplicates
+        # Coordinates on cell edges: new interior coordinates leave the cells as they are.
+        plain = basins._AxisTable(coords, bound)
+        on_edge = plain.lo + rng.integers(0, plain.cells.size, 20) / plain.inv_h
+        coords = np.sort(np.concatenate([coords, on_edge[(on_edge > -0.8) & (on_edge < 1.5)]]))
+        table = basins._AxisTable(coords, bound)
+        assert (table.lo, table.inv_h) == (plain.lo, plain.inv_h)
+        assert table.cells.size <= basins._TABLE_CELLS + 8
+        assert not table.cells[0] and not table.cells[-1]
+
+        edges = np.concatenate([coords - bound, coords + bound, coords])
+        steps = [edges]
+        up, down = edges, edges
+        for _ in range(4):  # the next few doubles either side
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            steps += [up, down]
+        cells = table.lo + np.arange(table.cells.size) / table.inv_h  # cell edges
+        values = np.concatenate(steps + [
+            cells[rng.integers(0, cells.size, 2000)],
+            coords[rng.integers(0, coords.size, 4000)] + rng.uniform(-3, 3, 4000) * bound,
+            rng.uniform(-radius, radius, 4000),
+            [-radius, radius],
+        ])
+        exact = basins._axis_near(coords, values, bound)
+        assert exact.any()
+        assert np.all(table.near(values)[exact])
+
+    def test_tolerance_near_float_limit(self, pp, pp_registry):
+        # Past about 5e307 the cell indices would overflow and the table flags
+        # every finite value; labels stay those of an ordinary table.  (The
+        # scalar oracle breaks max-norm ties differently from the KD-tree, and
+        # at such tolerances every registry point is in range, so it does not
+        # apply here.)
+        coords = np.sort(pp_registry.all_points()[0][:, 0])
+        values = np.random.default_rng(5).uniform(-10.0, 10.0, 1000)
+        pts = np.array([[0.1, 0.2], [5.0, -3.0], [0.9, 0.95]])
+        want = classify_batch(pp, pp_registry, pts, ClassifyLimits(max_iter=50, prox_tol=1e300))
+        for prox_tol in (1e307, 5e307, 1e308, 1.7e308):
+            table = basins._AxisTable(coords, prox_tol * (1.0 + 1e-12))
+            assert np.all(table.near(values))
+            got = classify_batch(pp, pp_registry, pts, ClassifyLimits(max_iter=50, prox_tol=prox_tol))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_far_values_mostly_rejected(self):
+        coords = np.sort(np.random.default_rng(3).uniform(-0.8, 1.5, 200))
+        table = basins._AxisTable(coords, 1e-5)
+        values = np.random.default_rng(4).uniform(-10.0, 10.0, 10000)
+        assert table.near(values).mean() < 0.01
+
 
 class TestRaster:
     def test_cells_containing_low_k_attractor_points_self_classify(self, pp, pp_registry):
