@@ -6,13 +6,12 @@ attractor's point set for one full period (guarding against slow passes
 near saddles).  Orbits exceeding the escape radius are divergent; orbits
 that exhaust the iteration budget are unknown.
 
-All per-point arithmetic is elementwise, so labels are independent of how
-the grid is batched across rows or threads.
+All per-point arithmetic is elementwise, so a cell's label depends only on
+its center point, not on which other cells share its batch.
 """
 from __future__ import annotations
 
 import colorsys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,11 +113,17 @@ class AttractorRegistry:
                 f"orbit is not periodic under the map (residual {residual:.3e})"
             )
         new_id = len(self.entries)
+        used = {e.color for e in self.entries}
         if color is None:
-            color = _palette_color(new_id)
+            # The palette repeats (index 611 has index 1's color): skip ahead
+            # to the first color not in use.
+            index = new_id
+            while _palette_color(index) in used:
+                index += 1
+            color = _palette_color(index)
         if color in {(0, 0, 0), (255, 255, 255)}:
             raise ValueError("attractor colors must differ from black and white")
-        if any(color == e.color for e in self.entries):
+        if color in used:
             raise ValueError(f"duplicate attractor color {color}")
         attractor = Attractor(
             id=new_id,
@@ -430,38 +435,22 @@ def raster(
 ) -> BasinGrid:
     """Classify every cell center of an nx-by-ny grid over the window.
 
-    Rows are dealt round-robin to at most ``min(threads, ny)`` workers,
-    one batch each; the labels are identical for any thread count because
-    every cell's orbit is computed elementwise.
+    All cells go through one ``classify_batch`` call in the calling thread.
+    ``threads`` accepts only 1: the benchmark harness under ``perfbench/``
+    still passes ``threads=1``, and the keyword goes once that call drops it.
     """
     if window.is_empty():
         raise InvalidWindowError(f"empty raster window {window}")
     if nx < 2 or ny < 2:
         raise InvalidWindowError("resolution must be at least 2x2")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     xs, ys = grid_centers(window, nx, ny)
     total = nx * ny
     # Cell (ix, iy) is entry iy * nx + ix.
     points = np.column_stack((np.tile(xs, ny), np.repeat(ys, nx)))
-    labels = np.empty(total, dtype=np.int32)
-    iters = np.empty(total, dtype=np.int64)
-    workers = min(threads, ny)
-    cell_ids = np.arange(total).reshape(ny, nx)
-    chunks = [cell_ids[i::workers].ravel() for i in range(workers)]
-
-    def run_chunk(index: np.ndarray) -> dict[int, int]:
-        chunk_cycles: dict[int, int] = {}
-        labels[index], iters[index] = classify_batch(
-            params, registry, points[index], limits, cycle_cells=chunk_cycles
-        )
-        return chunk_cycles
-
     cycle_cells: dict[int, int] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk_cycles in pool.map(run_chunk, chunks):
-            for period, count in chunk_cycles.items():
-                cycle_cells[period] = cycle_cells.get(period, 0) + count
+    labels, iters = classify_batch(params, registry, points, limits, cycle_cells=cycle_cells)
 
     stats = IterationStats(
         total_points=total,

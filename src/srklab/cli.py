@@ -97,7 +97,6 @@ class ExperimentConfig:
     params: MapParams
     section: dict[str, Any]
     output_dir: str
-    threads: int = 1
 
 
 def _finite(value: Any) -> bool:
@@ -334,9 +333,7 @@ def cmd_basins(config: ExperimentConfig) -> int:
     if len(registry) == 0:
         raise ConfigError("registry contains no attractors")
 
-    grid = raster(
-        config.params, registry, section["window"], nx, ny, limits, threads=config.threads
-    )
+    grid = raster(config.params, registry, section["window"], nx, ny, limits)
     os.makedirs(config.output_dir, exist_ok=True)
     write_ppm(grid, registry, os.path.join(config.output_dir, "basins.ppm"))
     _write(os.path.join(config.output_dir, "legend.csv"), legend_csv(registry))
@@ -385,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--out", help="override output directory")
         if name == "basins":
-            cmd.add_argument("--threads", type=int, default=1, help="raster threads")
             cmd.add_argument("--resolution", help="override the grid, e.g. 200x200")
     return parser
 
@@ -397,19 +393,13 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, section_name)
         if args.out:
             config.output_dir = args.out
-        if args.command == "basins":
-            if args.threads < 1:
-                raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-            config.threads = args.threads
-            if args.resolution:
-                try:
-                    value = [int(v) for v in args.resolution.lower().split("x")]
-                except ValueError as err:
-                    raise ConfigError(f"bad --resolution: {args.resolution}") from err
-                kind, bound, _ = _SCHEMA["basins"]["resolution"]
-                config.section["resolution"] = _check_value(
-                    kind, bound, value, "--resolution"
-                )
+        if args.command == "basins" and args.resolution:
+            try:
+                value = [int(v) for v in args.resolution.lower().split("x")]
+            except ValueError as err:
+                raise ConfigError(f"bad --resolution: {args.resolution}") from err
+            kind, bound, _ = _SCHEMA["basins"]["resolution"]
+            config.section["resolution"] = _check_value(kind, bound, value, "--resolution")
         return handler(config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srklab.cli import _SCHEMA, EXIT_CONFIG, EXIT_HYPOTHESIS_FAIL, EXIT_IO, EXIT_OK, main
+from srklab.cli import (
+    _SCHEMA,
+    EXIT_CONFIG,
+    EXIT_HYPOTHESIS_FAIL,
+    EXIT_IO,
+    EXIT_OK,
+    build_parser,
+    main,
+)
 
 PP_PARAMS = {"lambda": 0.8, "sigma": 1.25, "c2": -0.5, "d1": 1.0, "d5": 1.0}
 NP_PARAMS = {"lambda": -0.8, "sigma": 1.25, "c2": -0.5, "d1": -1.0, "d5": 1.0}
@@ -137,6 +146,7 @@ BAD_VALUES = [
         id="clip-misses-unstable-curve",
     ),
     pytest.param("basins", {"basins": {}}, ["--threads", "0"], id="threads-zero"),
+    pytest.param("basins", {"basins": {}}, ["--threads", "1"], id="threads-one"),
     pytest.param("basins", {"basins": {}}, ["--resolution", "1x20"], id="resolution-flag-1"),
     pytest.param("basins", {"basins": {}}, ["--resolution", "ax20"], id="resolution-flag-str"),
     pytest.param(
@@ -153,16 +163,30 @@ def test_bad_value_exits_2(tmp_path, capsys, section, body, flags):
         {"params": PP_PARAMS, "output_dir": str(tmp_path / "out"), **body},
     )
     argv = [COMMANDS[section], "--config", cfg, *flags]
-    if section != "basins" and flags:
+    if flags and (section != "basins" or flags[0] == "--threads"):
         with pytest.raises(SystemExit) as exc:  # argparse usage error
             main(argv)
-        code, expected = exc.value.code, "unrecognized arguments: --resolution"
+        code, expected = exc.value.code, f"unrecognized arguments: {' '.join(flags)}"
     else:
         code, expected = main(argv), "config error: "
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert expected in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_readme_usage_lines_parse():
+    """Every ``srklab ...`` line of the README's usage block is a valid command line."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Command-line use", 1)[1].split("```", 2)[1]
+    lines = [line for line in usage.splitlines() if line.startswith("srklab ")]
+    parser = build_parser()
+    assert {shlex.split(line)[1] for line in lines} == set(COMMANDS.values())
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README usage line does not parse: {line}")
 
 
 HOSTILE = [-1, 0, 2.7, True, "x", None, [], {}, float("nan"), float("inf"), float("-inf")]
@@ -430,13 +454,9 @@ class TestBasins:
         args = ["basins", "--config", cfg, "--resolution", "20x20"]
         assert main(args + ["--out", str(tmp_path / "a")]) == EXIT_OK
         assert main(args + ["--out", str(tmp_path / "b")]) == EXIT_OK
-        assert (
-            main(args + ["--out", str(tmp_path / "c"), "--threads", "4"]) == EXIT_OK
-        )
         bytes_a = (tmp_path / "a" / "basins.ppm").read_bytes()
         assert bytes_a.startswith(b"P6\n20 20\n255\n")
         assert bytes_a == (tmp_path / "b" / "basins.ppm").read_bytes()
-        assert bytes_a == (tmp_path / "c" / "basins.ppm").read_bytes()
         for name in ("legend.csv", "stats.csv"):
             assert (tmp_path / "a" / name).read_text() == (
                 tmp_path / "b" / name
@@ -524,6 +544,29 @@ class TestBasins:
         assert "Traceback" not in capsys.readouterr().err
         legend = (tmp_path / "out" / "legend.csv").read_text()
         assert "sr1," in legend and "sr0," not in legend
+
+    def test_auto_registry_past_palette_repeat(self, tmp_path, capsys):
+        # Over 611 stable orbits: the palette repeats, the colors must not.
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "out"),
+                "basins": {
+                    "resolution": [4, 4],
+                    "max_iter": 50,
+                    "registry": "auto",
+                    "k_min": 0,
+                    "k_max": 389,
+                },
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (tmp_path / "out" / "legend.csv").read_text().splitlines()[1:]
+        assert len(rows) > 611
+        assert len({tuple(row.split(",")[2:5]) for row in rows}) == len(rows)
 
     def test_tiny_resolution_rejected(self, tmp_path):
         cfg = write_config(

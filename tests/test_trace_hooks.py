@@ -55,15 +55,16 @@ def test_install_wraps_existing_names_and_uninstall_restores_them(spans):
             ("srklab.basins", "cKDTree"),
         } <= patched
 
-        # A traced raster records its batches and proximity queries.
+        # A traced raster records its one batch and its proximity queries.
         pp = EXAMPLE_CASES["pp"]
         registry = AttractorRegistry.from_orbits(pp, scan_srk(pp, 0, 5).orbits)
-        with tracer.span("basins.raster"):
+        with tracer.span("basins.raster") as raster_rec:
             raster(pp, registry, Rect(-0.5, 1.5, -0.5, 1.5), 4, 4,
-                   ClassifyLimits(max_iter=200), threads=2)
+                   ClassifyLimits(max_iter=200))
         batches = [rec for rec in tracer.spans if rec["name"] == "basins.classify_batch"]
-        assert len(batches) == 2
-        assert all("basins.proximity" in rec["leaves"] for rec in batches)
+        assert len(batches) == 1
+        assert batches[0]["parent"] == raster_rec["id"]
+        assert "basins.proximity" in batches[0]["leaves"]
     finally:
         uninstall()
     for module, names in zip(MODULES, before):
