@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidWindowError, SrkLabError
 from .mapcore import Point2, Rect, eval_map, eval_map_arrays
-from .orbits import SRkOrbit, newton_periodic
+from .orbits import CLOSING_TOL, SRkOrbit, newton_periodic
 from .params import MapParams
 from .stability import StabilityClass
 
@@ -42,8 +42,6 @@ __all__ = [
 
 UNKNOWN = -1
 DIVERGENT = -2
-
-_REGISTRY_RESIDUAL_TOL = 1e-10
 
 # Early retirement of cells that settle on stable cycles outside the
 # registry.  Every _CYCLE_CHECK_EVERY steps the running cells are mapped
@@ -99,7 +97,6 @@ class AttractorRegistry:
         params: MapParams,
         points: list[Point2] | np.ndarray,
         label: str | None = None,
-        color: tuple[int, int, int] | None = None,
     ) -> Attractor:
         """Register one periodic orbit; re-verifies periodicity under the map."""
         pts = np.asarray([(p[0], p[1]) for p in points], dtype=float)
@@ -108,29 +105,23 @@ class AttractorRegistry:
         for _ in range(period):
             p = eval_map(params, p)
         residual = max(abs(p.x - pts[0, 0]), abs(p.y - pts[0, 1]))
-        if not residual <= _REGISTRY_RESIDUAL_TOL:  # also rejects NaN residuals
+        if not residual <= CLOSING_TOL:  # also rejects NaN residuals
             raise ValueError(
                 f"orbit is not periodic under the map (residual {residual:.3e})"
             )
         new_id = len(self.entries)
         used = {e.color for e in self.entries}
-        if color is None:
-            # The palette repeats (index 611 has index 1's color): skip ahead
-            # to the first color not in use.
-            index = new_id
-            while _palette_color(index) in used:
-                index += 1
-            color = _palette_color(index)
-        if color in {(0, 0, 0), (255, 255, 255)}:
-            raise ValueError("attractor colors must differ from black and white")
-        if color in used:
-            raise ValueError(f"duplicate attractor color {color}")
+        # The palette repeats (index 611 has index 1's color): skip ahead
+        # to the first color not in use.
+        index = new_id
+        while _palette_color(index) in used:
+            index += 1
         attractor = Attractor(
             id=new_id,
             label=label if label is not None else f"attr{new_id}",
             points=pts,
             period=period,
-            color=color,
+            color=_palette_color(index),
         )
         self.entries.append(attractor)
         return attractor

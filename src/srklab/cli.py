@@ -381,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--out", help="override output directory")
-        if name == "basins":
-            cmd.add_argument("--resolution", help="override the grid, e.g. 200x200")
     return parser
 
 
@@ -393,13 +391,6 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, section_name)
         if args.out:
             config.output_dir = args.out
-        if args.command == "basins" and args.resolution:
-            try:
-                value = [int(v) for v in args.resolution.lower().split("x")]
-            except ValueError as err:
-                raise ConfigError(f"bad --resolution: {args.resolution}") from err
-            kind, bound, _ = _SCHEMA["basins"]["resolution"]
-            config.section["resolution"] = _check_value(kind, bound, value, "--resolution")
         return handler(config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

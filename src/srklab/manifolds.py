@@ -91,7 +91,7 @@ class ManifoldCurve:
     branch_index: int
     arc_length: float
     refinement: RefinementStats
-    joined: np.ndarray | None = None
+    joined: np.ndarray
     seed_t: np.ndarray | None = None
     generation: np.ndarray | None = None
     params: MapParams | None = None
@@ -163,17 +163,12 @@ def _piece_inverses(params: MapParams, q: Point2) -> list[Point2]:
     return out
 
 
-def invert_blend(
-    params: MapParams, q: Point2, guesses: list[Point2] | None = None
-) -> list[Point2]:
-    """Preimages of q inside the blend strip, found by Newton iteration.
+def invert_blend(params: MapParams, q: Point2, guesses: list[Point2]) -> list[Point2]:
+    """Preimages of q inside the blend strip, by Newton iteration from each guess.
 
-    Default guesses are the two analytic piece inverses.  Solutions are
-    kept when the residual is at most 1e-10 and the point lies strictly
-    inside the strip; duplicates are merged.  May be empty.
+    Solutions are kept when the residual is at most 1e-10 and the point
+    lies strictly inside the strip; duplicates are merged.  May be empty.
     """
-    if guesses is None:
-        guesses = _piece_inverses(params, q)
     solutions: list[Point2] = []
     for guess in guesses:
         p, _, res = _newton_preimage(params, q, guess)
@@ -563,20 +558,12 @@ def detect_tangencies(curve: ManifoldCurve, axis_tol: float) -> list[TangencyHit
     if n == 0:
         raise ValueError("curve is empty")
     y = pts[:, 1]
-    joined = (
-        curve.joined
-        if curve.joined is not None
-        else np.ones(max(0, n - 1), dtype=bool)
-    )
     hits: list[TangencyHit] = []
-    can_refine = (
-        curve.seed_t is not None
-        and curve.generation is not None
-        and curve.params is not None
-    )
+    # trace_unstable sets seed_t, generation and params together.
+    can_refine = curve.seed_t is not None
 
     # Exact zeros are left to the minimum scan.
-    crossings = joined & (y[:-1] != 0.0) & (y[:-1] * y[1:] < 0.0)
+    crossings = curve.joined & (y[:-1] != 0.0) & (y[:-1] * y[1:] < 0.0)
     for i in np.flatnonzero(crossings):
         frac = y[i] / (y[i] - y[i + 1])
         loc = Point2(
@@ -591,8 +578,8 @@ def detect_tangencies(curve: ManifoldCurve, axis_tol: float) -> list[TangencyHit
 
     ay = np.abs(y)
     minima = (
-        joined[:-1]
-        & joined[1:]
+        curve.joined[:-1]
+        & curve.joined[1:]
         & (ay[1:-1] <= ay[:-2])
         & (ay[1:-1] <= ay[2:])
         & (ay[1:-1] < axis_tol)

@@ -112,9 +112,6 @@ class Rect(NamedTuple):
     def is_empty(self) -> bool:
         return not (self.xmin < self.xmax and self.ymin < self.ymax)
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
     def padded(self, fraction: float) -> "Rect":
         dx = self.width * fraction
         dy = self.height * fraction

@@ -56,6 +56,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 20
 MINIMALITY_TOL = 1e-8
+CLOSING_TOL = 1e-10  # largest closing residual of a scan orbit or registry entry
 _SAME_ORBIT_TOL = 1e-8
 _NEWTON_ESCAPE = 1e6
 
@@ -339,9 +340,9 @@ class ScanRecord:
 
     k: int
     branch: Branch
-    status: str  # "closed-form" | "newton" | "no-real-root" |
+    status: str  # "closed-form" | "newton" | "no-real-root" | "degenerate" |
     #              "itinerary-invalid" | "newton-failed" | "duplicate" |
-    #              "precision-limited" | "degenerate"
+    #              "precision-limited" (see ``scan_srk``)
     orbit: SRkOrbit | None
     detail: str = ""
 
@@ -385,15 +386,23 @@ def _scan_one(
     params: MapParams, k: int, branch: Branch, found: list[SRkOrbit]
 ) -> ScanRecord:
     try:
-        u = srk_quadratic(params, k).get(branch)
+        roots = srk_quadratic(params, k)
     except OverflowError as err:  # sigma**k beyond the double range
         return ScanRecord(k, branch, "precision-limited", None, str(err))
     except DegenerateCoefficientsError as err:  # d5 == 0, c1*lam**k == 1, or qa == 0
         return ScanRecord(k, branch, "degenerate", None, str(err))
+    u = roots.get(branch)
     if u is None:
         return ScanRecord(k, branch, "no-real-root", None, "negative discriminant")
     try:
         orbit = assemble_orbit(params, k, u, branch)
+        if not orbit.residual <= CLOSING_TOL:  # also flags NaN residuals
+            detail = f"closing residual {orbit.residual:.3e}"
+            return ScanRecord(k, branch, "precision-limited", None, detail)
+        if found and found[-1].k == k and found[-1].points == orbit.points:
+            if roots.u_minus == roots.u_plus:
+                return ScanRecord(k, branch, "duplicate", None, "double root")
+            return ScanRecord(k, branch, "precision-limited", None, "same points as minus")
         return ScanRecord(k, branch, "closed-form", orbit)
     except NotMinimalError as err:
         return ScanRecord(k, branch, "duplicate", None, str(err))
@@ -420,6 +429,12 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
     stray into the blend strip (and only there) are re-solved by Newton
     iteration seeded with the closed form.  Per-k failures are recorded,
     never raised.
+
+    Where doubles cannot carry a closed-form orbit it is recorded as
+    ``precision-limited``, never labelled: ``sigma**k`` overflows, its
+    points do not close to ``CLOSING_TOL`` under ``eval_map``, or the plus
+    root gives the minus orbit's points.  An exact double root is a
+    ``duplicate``.
     """
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")

@@ -9,11 +9,10 @@ normal form.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Any
 
-__all__ = ["MapParams", "example_family", "EXAMPLE_CASES", "load_params", "dump_params"]
+__all__ = ["MapParams", "example_family", "EXAMPLE_CASES"]
 
 # JSON key for the contraction eigenvalue ("lambda" is reserved in Python).
 _LAM_KEY = "lambda"
@@ -165,14 +164,3 @@ EXAMPLE_CASES: dict[str, MapParams] = {
     "pn": example_family(0.8, -1.25, 1.0),
     "np": example_family(-0.8, 1.25, -1.0),
 }
-
-
-def load_params(path: str) -> MapParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return MapParams.from_dict(json.load(fh))
-
-
-def dump_params(params: MapParams, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -54,8 +54,9 @@ def orbit_jacobian(params: MapParams, points: Sequence[Point2]) -> Jacobian2:
     far below overflow at any period a scan reaches; the product is only
     as accurate as the points.  For |sigma| = 1.25 the closed-form SR_k
     orbits lose their above-strip point near k ~ 150-170, where
-    ``y_star + u`` rounds to ``y_star``, and the product taken over
-    those points mislabels the orbit.
+    ``y_star + u`` rounds to ``y_star``; ``scan_srk`` flags such orbits
+    ``precision-limited`` (they do not close, or both roots give the same
+    points) instead of labelling them from this product.
 
     Newton's steps and labels use this product, and the tests use it as
     the reference.  Closed-form orbits, whose itinerary is known, get the

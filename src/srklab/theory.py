@@ -50,9 +50,6 @@ class Verdict:
     note: str = ""
     applicable: bool = True
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 @dataclass(frozen=True)
 class TheoryReport:

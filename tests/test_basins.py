@@ -103,12 +103,8 @@ class TestRegistry:
         colors = [e.color for e in registry.entries]
         assert len(set(colors)) == 700
         assert colors[:611] == [basins._palette_color(i) for i in range(611)]
-
-    def test_explicit_duplicate_color_rejected(self, pp):
-        registry = AttractorRegistry()
-        registry.add(pp, [Point2(1.0, 1.0)])
-        with pytest.raises(ValueError, match="duplicate"):
-            registry.add(pp, [Point2(1.0, 1.0)], color=registry.entries[0].color)
+        assert (0, 0, 0) not in colors
+        assert (255, 255, 255) not in colors
 
     def test_nonperiodic_points_rejected(self, pp):
         registry = AttractorRegistry()
@@ -406,7 +402,8 @@ class TestDoubleRound:
 class TestPpm:
     def test_spec_bytes(self, tmp_path, pp):
         registry = AttractorRegistry()
-        registry.add(pp, [Point2(1.0, 1.0)], label="a", color=(255, 0, 0))
+        registry.add(pp, [Point2(1.0, 1.0)], label="a")
+        color = bytes(registry.entries[0].color)
         labels = np.empty((2, 2), dtype=np.int32)
         labels[0, 1] = 0  # top-left: attractor
         labels[1, 1] = UNKNOWN  # top-right
@@ -415,12 +412,13 @@ class TestPpm:
         grid = BasinGrid(Rect(0, 1, 0, 1), 2, 2, labels, IterationStats())
         path = tmp_path / "tiny.ppm"
         write_ppm(grid, registry, str(path))
-        expected = b"P6\n2 2\n255\n" + bytes.fromhex("ff0000000000ffffffff0000")
+        # Rows top to bottom: attractor, unknown (black); divergent (white), attractor.
+        expected = b"P6\n2 2\n255\n" + color + bytes(3) + b"\xff" * 3 + color
         assert path.read_bytes() == expected
 
     def test_single_unknown_pixel(self, tmp_path, pp):
         registry = AttractorRegistry()
-        registry.add(pp, [Point2(1.0, 1.0)], color=(255, 0, 0))
+        registry.add(pp, [Point2(1.0, 1.0)])
         labels = np.full((1, 1), UNKNOWN, dtype=np.int32)
         grid = BasinGrid(Rect(0, 1, 0, 1), 1, 1, labels, IterationStats())
         path = tmp_path / "one.ppm"

@@ -163,7 +163,7 @@ def test_bad_value_exits_2(tmp_path, capsys, section, body, flags):
         {"params": PP_PARAMS, "output_dir": str(tmp_path / "out"), **body},
     )
     argv = [COMMANDS[section], "--config", cfg, *flags]
-    if flags and (section != "basins" or flags[0] == "--threads"):
+    if flags:
         with pytest.raises(SystemExit) as exc:  # argparse usage error
             main(argv)
         code, expected = exc.value.code, f"unrecognized arguments: {' '.join(flags)}"
@@ -435,7 +435,7 @@ class TestBasins:
         stats = (out / "stats.csv").read_text()
         assert stats.startswith("label,cells,fraction")
 
-    def test_resolution_override_and_reproducibility(self, tmp_path):
+    def test_out_override_and_reproducibility(self, tmp_path):
         cfg = write_config(
             tmp_path,
             "basins.json",
@@ -443,7 +443,7 @@ class TestBasins:
                 "params": PP_PARAMS,
                 "output_dir": str(tmp_path / "a"),
                 "basins": {
-                    "resolution": [64, 64],
+                    "resolution": [20, 20],
                     "max_iter": 1500,
                     "registry": "auto",
                     "k_min": 0,
@@ -451,7 +451,7 @@ class TestBasins:
                 },
             },
         )
-        args = ["basins", "--config", cfg, "--resolution", "20x20"]
+        args = ["basins", "--config", cfg]
         assert main(args + ["--out", str(tmp_path / "a")]) == EXIT_OK
         assert main(args + ["--out", str(tmp_path / "b")]) == EXIT_OK
         bytes_a = (tmp_path / "a" / "basins.ppm").read_bytes()
@@ -537,10 +537,10 @@ class TestBasins:
             {
                 "params": {**PP_PARAMS, **QA_ZERO},
                 "output_dir": str(tmp_path / "out"),
-                "basins": {},
+                "basins": {"resolution": [8, 8]},
             },
         )
-        assert main(["basins", "--config", cfg, "--resolution", "8x8"]) == EXIT_OK
+        assert main(["basins", "--config", cfg]) == EXIT_OK
         assert "Traceback" not in capsys.readouterr().err
         legend = (tmp_path / "out" / "legend.csv").read_text()
         assert "sr1," in legend and "sr0," not in legend
@@ -558,7 +558,7 @@ class TestBasins:
                     "max_iter": 50,
                     "registry": "auto",
                     "k_min": 0,
-                    "k_max": 389,
+                    "k_max": 620,
                 },
             },
         )
@@ -567,6 +567,30 @@ class TestBasins:
         rows = (tmp_path / "out" / "legend.csv").read_text().splitlines()[1:]
         assert len(rows) > 611
         assert len({tuple(row.split(",")[2:5]) for row in rows}) == len(rows)
+
+    def test_auto_registry_of_np_at_large_k(self, tmp_path, capsys):
+        # Past k ~ 122 np's closed-form orbits stop closing in doubles; the
+        # scan flags them, so the registry never sees one.
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": NP_PARAMS,
+                "output_dir": str(tmp_path / "out"),
+                "basins": {
+                    "resolution": [4, 4],
+                    "max_iter": 50,
+                    "registry": "auto",
+                    "k_min": 0,
+                    "k_max": 340,
+                },
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (tmp_path / "out" / "legend.csv").read_text().splitlines()[1:]
+        labels = [row.split(",")[1] for row in rows]
+        assert len(set(labels)) == len(labels)
 
     def test_tiny_resolution_rejected(self, tmp_path):
         cfg = write_config(

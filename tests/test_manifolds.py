@@ -34,6 +34,7 @@ def synthetic_curve(points: np.ndarray) -> ManifoldCurve:
         branch_index=0,
         arc_length=0.0,
         refinement=RefinementStats(),
+        joined=np.ones(max(0, points.shape[0] - 1), dtype=bool),
     )
 
 
@@ -109,7 +110,8 @@ class TestBlendInverse:
             assert max(abs(best.x - p.x), abs(best.y - p.y)) <= 1e-9
 
     def test_far_point_has_no_blend_preimage(self, pp):
-        sols = invert_blend(pp, Point2(50.0, -50.0))
+        q = Point2(50.0, -50.0)
+        sols = invert_blend(pp, q, [invert_saddle(pp, q), invert_return(pp, q)])
         assert sols == []
 
     def test_singular_jacobian_stops_at_iteration_zero(self, pp):
@@ -165,7 +167,7 @@ class TestTraceUnstable:
         for i in sample:
             g = curve.generation[i]
             p = Point2(float(curve.points[i, 0]), float(curve.points[i, 1]))
-            if not CLIP.contains(p.x, p.y):
+            if not (CLIP.xmin <= p.x <= CLIP.xmax and CLIP.ymin <= p.y <= CLIP.ymax):
                 continue
             image = eval_map(pp, p)
             nxt = curve.points[curve.generation == g + 1]

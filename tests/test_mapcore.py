@@ -330,10 +330,3 @@ class TestParams:
         assert pp.replace(**{"lambda": 0.9}).h0 == pytest.approx(2.8 / 3.0)
         with pytest.raises(ValueError, match="same parameter"):
             pp.replace(lam=0.5, **{"lambda": 0.5})
-
-    def test_file_round_trip(self, pp, tmp_path):
-        from srklab.params import dump_params, load_params
-
-        path = str(tmp_path / "params.json")
-        dump_params(pp, path)
-        assert load_params(path) == pp

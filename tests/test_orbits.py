@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import math
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from srklab import (
     srk_quadratic,
 )
 from srklab.mapcore import eval_return, eval_saddle
-from srklab.orbits import _itinerary, _point_above_strip
+from srklab.orbits import CLOSING_TOL, _itinerary, _point_above_strip
 from srklab.stability import orbit_jacobian
 
 
@@ -334,8 +337,13 @@ class TestScan:
         for r in result.records:
             by_status.setdefault(r.status, set()).add(r.k)
         assert 3175 in by_status["newton-failed"]
-        assert by_status["precision-limited"] == set(range(3181, 3191))
+        assert set(range(3181, 3191)) <= by_status["precision-limited"]
         assert all(r.detail for r in result.records if r.status == "precision-limited")
+        # Below the overflow only the plus branch is flagged: it rounds onto
+        # the minus orbit's points.
+        for r in result.records:
+            if r.status == "precision-limited" and r.k < 3181:
+                assert r.branch is Branch.PLUS and "same points" in r.detail
 
     def test_degenerate_coefficients_recorded_not_raised(self, pp):
         # d5 = 0 leaves no quadratic at any k; c1 = 1 zeroes 1 - c1*lam**k
@@ -420,6 +428,51 @@ class TestScan:
                 for j, p in enumerate(reordered):
                     assert abs(p.x) <= w * abs(params.lam) ** j + 1e-12
                     assert abs(p.y) <= w * abs(params.sigma) ** (j - k) + 1e-12
+
+
+LARGE_K_SETS = {
+    **EXAMPLE_CASES,
+    "pp-perturbed": EXAMPLE_CASES["pp"].replace(c1=0.1, c2=-0.3, d3=0.05, d4=0.05),
+}
+
+
+@pytest.fixture
+def refmap(monkeypatch):
+    """The benchmark's 80-digit reference, imported read-only."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("refmap")
+
+
+class TestLargeK:
+    """Past k ~ 120 doubles cannot carry every closed-form orbit: the scan
+    must flag those, never accept or label them."""
+
+    @pytest.mark.parametrize("name", sorted(LARGE_K_SETS))
+    def test_accepted_orbits_close_are_distinct_and_labelled_right(self, name, refmap):
+        params = LARGE_K_SETS[name]
+        result = scan_srk(params, 0, 400)
+        exact = refmap.exact_srk_labels(
+            {key: Decimal(repr(v)) for key, v in params.to_dict().items()}, 400
+        )
+        assert all(o.residual <= CLOSING_TOL for o in result.orbits)
+        keys = [(o.k, o.points) for o in result.orbits]
+        assert len(set(keys)) == len(keys)
+        for o in result.orbits:
+            if o.method == "closed-form":
+                assert o.stability.value == exact[(o.k, o.branch.value)], (o.k, o.branch)
+        assert any(r.status == "precision-limited" for r in result.records)
+
+    def test_non_closing_orbits_flagged(self, np_case):
+        records = scan_srk(np_case, 100, 400).records
+        flagged = [r for r in records if "closing residual" in r.detail]
+        assert flagged and all(r.status == "precision-limited" for r in flagged)
+
+    def test_exact_double_root_is_a_duplicate(self, pp):
+        # At k = 0, d1 = 1 and c2 + d2 = 1 zero both qc and qb: u = 0 twice.
+        result = scan_srk(pp.replace(c2=0.5, d2=0.5), 0, 0)
+        minus, plus = result.records
+        assert minus.status == "closed-form"
+        assert (plus.status, plus.detail) == ("duplicate", "double root")
 
 
 class TestOrbitCsv:
