@@ -174,30 +174,16 @@ class BasinGrid:
     stats: IterationStats
 
 
-def _axis_near(sorted_coords: np.ndarray, v: np.ndarray, bound: float) -> np.ndarray:
-    """Whether some registry coordinate lies within ``bound`` of each v.
-
-    The nearest coordinate in value is one of the two sorted neighbours of
-    v's insertion point, and rounded subtraction is monotone, so this is
-    exactly the one-axis part of the max-norm distance.  It is the second
-    stage of the proximity prefilter, run only on the values that
-    ``_AxisTable.near`` flags.
-    """
-    i = np.searchsorted(sorted_coords, v)
-    below = sorted_coords[np.maximum(i - 1, 0)]
-    above = sorted_coords[np.minimum(i, sorted_coords.size - 1)]
-    return np.minimum(np.abs(v - below), np.abs(above - v)) <= bound
-
-
 class _AxisTable:
-    """Occupancy table of one axis: the first stage of the proximity prefilter.
+    """Occupancy table of one axis: the proximity prefilter.
 
     The axis is cut into cells of width h from ``lo``; a cell is marked when
     it lies within one cell of [c - bound, c + bound] for some registry
     coordinate c.  Every index is computed as ``(t - lo) * inv_h``, which is
     monotone in t and off by far less than a cell (h is at least 2**20 ulps
     of the largest coordinate), so the one-cell margin makes ``near`` true
-    wherever ``_axis_near`` is: the table is a superset, never a miss.  The
+    wherever |v - c| <= bound for some c: the table flags a superset of the
+    KD-tree's hits, never a miss.  ``coords`` need not be sorted.  The
     first and last cells stay unmarked, so clipped out-of-range values read
     False.  At most _TABLE_CELLS + 8 cells, whatever ``bound`` is; a bound
     so near the float limit that the cell indices would overflow gives a
@@ -280,20 +266,18 @@ def classify_batch(
     the step they stopped at as their count; when ``cycle_cells`` is
     given, it is incremented by the number of such cells per period.
 
-    Each step, the proximity test runs in three stages.  One occupancy
+    Each step, the proximity test runs in two stages.  One occupancy
     table lookup per axis (``_AxisTable``) drops the points that are not
-    near a registry coordinate on both axes; the exact per-axis test
-    ``_axis_near`` runs on the survivors; the KD-tree query on what is
-    left decides.  Each stage flags a superset of the next, so only the
-    query's hits update a point's candidate attractor and run length.
+    near a registry coordinate on both axes; the KD-tree query on the
+    survivors decides.  The tables flag a superset of the query's hits,
+    and only those hits update a point's candidate attractor and run length.
     """
     if len(registry) == 0:
         raise ValueError("registry must contain at least one attractor")
     reg_pts, owner, owner_period = registry.all_points()
     tree = cKDTree(reg_pts)
-    reg_x, reg_y = np.sort(reg_pts[:, 0]), np.sort(reg_pts[:, 1])
     bound = limits.prox_tol * (1.0 + 1e-12)
-    table_x, table_y = _AxisTable(reg_x, bound), _AxisTable(reg_y, bound)
+    table_x, table_y = _AxisTable(reg_pts[:, 0], bound), _AxisTable(reg_pts[:, 1], bound)
     radius = limits.escape_radius
     clearance = _CYCLE_CLEARANCE * limits.prox_tol
     cycles: list[tuple[np.ndarray, bool]] = []  # polished cycles, and whether cells retire on them
@@ -328,7 +312,6 @@ def classify_batch(
     def check_proximity(step: int) -> None:
         """Update candidate/run at the tree's hits; retire points that completed a period."""
         maybe = np.flatnonzero(table_x.near(x) & table_y.near(y))
-        maybe = maybe[_axis_near(reg_x, x[maybe], bound) & _axis_near(reg_y, y[maybe], bound)]
         hit = nearest = np.empty(0, dtype=np.intp)
         if maybe.size:
             dist, nearest = tree.query(

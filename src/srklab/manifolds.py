@@ -456,7 +456,10 @@ def trace_stable(
     window = clip.padded(_PAD_FRACTION)
     cut = RefinementStats()
     n_seed = max(9, int(math.ceil((b - a) / max_gap)) + 1)
-    xs = np.linspace(a, b, n_seed)[: _allow(n_seed, point_budget, cut)]
+    n = _allow(n_seed, point_budget, cut)
+    # max_gap may ask for far more seeds than the budget keeps: build only the
+    # kept prefix of linspace(a, b, n_seed), with the same steps.
+    xs = np.linspace(a, b, n_seed) if n == n_seed else a + np.arange(n) * ((b - a) / (n_seed - 1))
     used = xs.size
     curves: list[ManifoldCurve] = []
 

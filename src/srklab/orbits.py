@@ -81,27 +81,23 @@ class RootPair:
 class SRkOrbit:
     """A computed periodic solution.
 
-    ``points`` starts at the above-strip point; ``regions`` records the
-    map region of every point.  ``itinerary_ok`` is True when exactly one
-    point is above the strip and the remaining k points are below it
-    (the single-round itinerary).  ``method`` is "closed-form" or "newton".
+    ``points`` starts at the above-strip point for a closed-form orbit and
+    at the converged iterate for a Newton orbit.  ``method`` is
+    "closed-form" or "newton".
     """
 
     k: int
-    period: int
     points: tuple[Point2, ...]
     branch: Branch | None
     residual: float
     trace: float
     det: float
     stability: StabilityClass
-    regions: tuple[Region, ...]
-    itinerary_ok: bool
     method: str
 
-    def __post_init__(self) -> None:
-        if self.period != len(self.points):
-            raise ValueError("period must equal number of points")
+    @property
+    def period(self) -> int:
+        return len(self.points)
 
 
 def _quadratic_coefficients(params: MapParams, k: int) -> tuple[float, float, float]:
@@ -157,20 +153,6 @@ def srk_quadratic(params: MapParams, k: int) -> RootPair:
     )
 
 
-def _itinerary(
-    params: MapParams, points: Sequence[Point2]
-) -> tuple[tuple[Region, ...], list[tuple[int, Region]]]:
-    """Regions of the points, and deviations from [upper, lower, ..., lower]."""
-    regions = tuple(region_of(params, p.y) for p in points)
-    bad: list[tuple[int, Region]] = []
-    if regions[0] is not Region.UPPER:
-        bad.append((0, regions[0]))
-    for j, region in enumerate(regions[1:], start=1):
-        if region is not Region.LOWER:
-            bad.append((j, region))
-    return regions, bad
-
-
 def _proper_divisors(n: int) -> list[int]:
     """The divisors d < n of n, in increasing order."""
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -182,34 +164,21 @@ def _finish_orbit(
     points: Sequence[Point2],
     closing: Point2,
     jac: Jacobian2,
-    regions: tuple[Region, ...],
-    itinerary_ok: bool,
     branch: Branch | None,
     method: str,
 ) -> SRkOrbit:
     """Label the orbit walked as ``points`` with closing image f^period(p0)
-    and period Jacobian ``jac``.
-
-    Raises ``NotMinimalError`` when ``points[d]`` is p0 (within
-    ``MINIMALITY_TOL``) for a proper divisor d of the period.
-    """
+    and period Jacobian ``jac``."""
     p0 = points[0]
-    period = len(points)
-    for d in _proper_divisors(period):
-        if max(abs(points[d].x - p0.x), abs(points[d].y - p0.y)) <= MINIMALITY_TOL:
-            raise NotMinimalError(divisor=d)
     tau, delta = jac.trace, jac.det
     return SRkOrbit(
         k=k,
-        period=period,
         points=tuple(points),
         branch=branch,
         residual=max(abs(closing.x - p0.x), abs(closing.y - p0.y)),
         trace=tau,
         det=delta,
         stability=classify(tau, delta),
-        regions=regions,
-        itinerary_ok=itinerary_ok,
         method=method,
     )
 
@@ -235,8 +204,8 @@ def assemble_orbit(
     ``Jacobian2.matmul`` forms, so the result equals ``orbit_jacobian``
     over the points bit for bit.  Raises ``ItineraryInvalidError`` when
     any point falls outside its required region (the closed form is then
-    not a genuine orbit of the piecewise map), and ``NotMinimalError``
-    when it closes after a proper divisor of k + 1.
+    not a genuine orbit of the piecewise map).  An orbit that passes is
+    minimal: its one point above the strip cannot recur before k + 1 steps.
     """
     lam, sigma, h0 = params.lam, params.sigma, params.h0
     p_up = _point_above_strip(params, k, u)
@@ -260,11 +229,10 @@ def assemble_orbit(
         x, y = lam * x, sigma * y
     if violations:
         raise ItineraryInvalidError(violations)
-    regions = (Region.UPPER,) + (Region.LOWER,) * k
     # In pure regions the map is the piece used above: one call closes the orbit.
     closing = eval_map(params, points[-1])
     return _finish_orbit(
-        k, points, closing, Jacobian2(a, b, c, d), regions, True, branch, "closed-form"
+        k, points, closing, Jacobian2(a, b, c, d), branch, "closed-form"
     )
 
 
@@ -289,8 +257,9 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
 
     The Jacobian of g is the chain-rule product of the single-step
     Jacobians minus the identity.  Steps are halved (up to 20 times)
-    whenever the residual increases.  The converged orbit must have
-    minimal period; otherwise ``NotMinimalError`` is raised.
+    whenever the residual increases.  Raises ``NotMinimalError`` when the
+    converged orbit returns to its first point (within ``MINIMALITY_TOL``)
+    after a proper divisor d of the period.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -327,11 +296,11 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
             raise NoConvergenceError(iterations=iteration + 1, last_residual=res)
     if res > NEWTON_TOL:
         raise NoConvergenceError(iterations=NEWTON_MAX_ITER, last_residual=res)
-    regions, violations = _itinerary(params, pts)
+    for d in _proper_divisors(period):
+        if max(abs(pts[d].x - p.x), abs(pts[d].y - p.y)) <= MINIMALITY_TOL:
+            raise NotMinimalError(divisor=d)
     jac = orbit_jacobian(params, pts)
-    return _finish_orbit(
-        period - 1, pts, closing, jac, regions, not violations, None, "newton"
-    )
+    return _finish_orbit(period - 1, pts, closing, jac, None, "newton")
 
 
 @dataclass(frozen=True)
@@ -404,8 +373,6 @@ def _scan_one(
                 return ScanRecord(k, branch, "duplicate", None, "double root")
             return ScanRecord(k, branch, "precision-limited", None, "same points as minus")
         return ScanRecord(k, branch, "closed-form", orbit)
-    except NotMinimalError as err:
-        return ScanRecord(k, branch, "duplicate", None, str(err))
     except ItineraryInvalidError as err:
         blend_only = all(region is Region.BLEND for _, region in err.violations)
         if not blend_only:

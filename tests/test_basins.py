@@ -276,7 +276,7 @@ class TestAxisTable:
             rng.uniform(-radius, radius, 4000),
             [-radius, radius],
         ])
-        exact = basins._axis_near(coords, values, bound)
+        exact = np.abs(values[:, None] - coords).min(axis=1) <= bound
         assert exact.any()
         assert np.all(table.near(values)[exact])
 
@@ -389,7 +389,7 @@ class TestDoubleRound:
                 break
         assert orbit is not None, "no stable period-16 orbit found from unknown cells"
         # Double-round witness: two excursions above the strip per period.
-        uppers = sum(1 for r in orbit.regions if r.value == "upper")
+        uppers = sum(1 for p in orbit.points if p.y >= params.h1)
         assert uppers == 2
 
         registry.add(params, list(orbit.points), label="dr16")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from srklab import (
     trace_stable,
     trace_unstable,
 )
-from srklab.manifolds import RefinementStats, _newton_preimage, _reiterate
+from srklab.cli import EXIT_OK, main
+from srklab.manifolds import DEFAULT_MAX_GAP, RefinementStats, _newton_preimage, _reiterate
 
 CLIP = Rect(-1.0, 2.5, -1.5, 2.0)
 
@@ -260,15 +262,29 @@ class TestTraceStable:
             trace_stable(params, 1, CLIP)
         assert len(trace_stable(params, 0, CLIP)) == 1
 
-    def test_point_budget(self, np_case):
+    def test_point_budget(self, np_case, pp, tmp_path, capsys):
         # Unlimited, depth 3 returns more than 3,000 points.  With that
         # budget every sample made counts, so the points returned (a subset
         # of them) stay within it, and every curve of the cut set is flagged.
-        budget = 3000
-        assert sum(c.points.shape[0] for c in trace_stable(np_case, 3, CLIP)) > budget
-        curves = trace_stable(np_case, 3, CLIP, point_budget=budget)
-        assert curves and all(c.refinement.budget_exhausted for c in curves)
-        assert sum(c.points.shape[0] for c in curves) <= budget
+        # A max_gap of 1e-300 asks for about 1e297 seed samples: only the
+        # budget's share of them may be built.
+        assert sum(c.points.shape[0] for c in trace_stable(np_case, 3, CLIP)) > 3000
+        for params, depth, max_gap, budget in (
+            (np_case, 3, DEFAULT_MAX_GAP, 3000),
+            (pp, 2, 1e-300, 1000),
+        ):
+            curves = trace_stable(params, depth, CLIP, max_gap=max_gap, point_budget=budget)
+            assert curves and all(c.refinement.budget_exhausted for c in curves)
+            assert sum(c.points.shape[0] for c in curves) <= budget
+
+        config = tmp_path / "manifolds.json"
+        config.write_text(json.dumps({
+            "params": pp.to_dict(),
+            "output_dir": str(tmp_path / "out"),
+            "manifolds": {"n_images": 3, "max_gap": 1e-300, "point_budget": 1000},
+        }))
+        assert main(["manifolds", "--config", str(config)]) == EXIT_OK
+        assert "point budget exhausted" in capsys.readouterr().err
 
     def test_forward_consistency(self, all_cases):
         # Iterating any branch point forward by its depth lands on the
