@@ -283,7 +283,7 @@ def cmd_manifolds(config: ExperimentConfig) -> int:
             max_gap=section["max_gap"],
             point_budget=section["point_budget"],
         )
-    except DegenerateCoefficientsError as err:
+    except (DegenerateCoefficientsError, ValueError) as err:
         raise ConfigError(f"cannot trace the stable set: {err}") from err
     hits = detect_tangencies(unstable, section["axis_tol"])
 

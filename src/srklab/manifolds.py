@@ -444,7 +444,8 @@ def trace_stable(
     ``_refine`` pulls each new sample back from the seed segment through
     every stage.  No branch is started once the budget has run out.
     Raises ``DegenerateCoefficientsError`` for depth >= 1 when the return
-    piece has no exact inverse (see ``invert_return``).
+    piece has no exact inverse (see ``invert_return``), and ``ValueError``
+    when the segment length over ``max_gap`` overflows a double.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -455,11 +456,15 @@ def trace_stable(
         a, b = x0 / params.lam, x0
     window = clip.padded(_PAD_FRACTION)
     cut = RefinementStats()
-    n_seed = max(9, int(math.ceil((b - a) / max_gap)) + 1)
-    n = _allow(n_seed, point_budget, cut)
+    span = (b - a) / max_gap
+    if not math.isfinite(span):
+        msg = f"seed segment [{a:g}, {b:g}] over max_gap {max_gap:g} is not a finite sample count"
+        raise ValueError(msg)
+    n_seed = max(9, int(math.ceil(span)) + 1)
     # max_gap may ask for far more seeds than the budget keeps: build only the
-    # kept prefix of linspace(a, b, n_seed), with the same steps.
-    xs = np.linspace(a, b, n_seed) if n == n_seed else a + np.arange(n) * ((b - a) / (n_seed - 1))
+    # kept prefix of linspace(a, b, n_seed), whose steps and endpoint these are.
+    xs = a + np.arange(_allow(n_seed, point_budget, cut)) * ((b - a) / (n_seed - 1))
+    xs[n_seed - 1 :] = b
     used = xs.size
     curves: list[ManifoldCurve] = []
 

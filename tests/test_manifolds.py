@@ -23,7 +23,7 @@ from srklab import (
     trace_stable,
     trace_unstable,
 )
-from srklab.cli import EXIT_OK, main
+from srklab.cli import EXIT_CONFIG, EXIT_OK, main
 from srklab.manifolds import DEFAULT_MAX_GAP, RefinementStats, _newton_preimage, _reiterate
 
 CLIP = Rect(-1.0, 2.5, -1.5, 2.0)
@@ -267,7 +267,8 @@ class TestTraceStable:
         # budget every sample made counts, so the points returned (a subset
         # of them) stay within it, and every curve of the cut set is flagged.
         # A max_gap of 1e-300 asks for about 1e297 seed samples: only the
-        # budget's share of them may be built.
+        # budget's share of them may be built.  A segment over max_gap that
+        # overflows a double counts no samples at all: a config error.
         assert sum(c.points.shape[0] for c in trace_stable(np_case, 3, CLIP)) > 3000
         for params, depth, max_gap, budget in (
             (np_case, 3, DEFAULT_MAX_GAP, 3000),
@@ -277,14 +278,23 @@ class TestTraceStable:
             assert curves and all(c.refinement.budget_exhausted for c in curves)
             assert sum(c.points.shape[0] for c in curves) <= budget
 
+        for seed_scale, max_gap in ((1.0, 5e-324), (1e300, 1e-9)):
+            with pytest.raises(ValueError, match="not a finite sample count"):
+                trace_stable(pp, 1, CLIP, seed_scale=seed_scale, max_gap=max_gap)
+
         config = tmp_path / "manifolds.json"
-        config.write_text(json.dumps({
-            "params": pp.to_dict(),
-            "output_dir": str(tmp_path / "out"),
-            "manifolds": {"n_images": 3, "max_gap": 1e-300, "point_budget": 1000},
-        }))
-        assert main(["manifolds", "--config", str(config)]) == EXIT_OK
-        assert "point budget exhausted" in capsys.readouterr().err
+        for section, code, message in (
+            ({"max_gap": 1e-300, "point_budget": 1000}, EXIT_OK, "point budget exhausted"),
+            ({"max_gap": 5e-324}, EXIT_CONFIG, "not a finite sample count"),
+            ({"stable_seed": 1e300, "max_gap": 1e-9}, EXIT_CONFIG, "not a finite sample count"),
+        ):
+            config.write_text(json.dumps({
+                "params": pp.to_dict(),
+                "output_dir": str(tmp_path / "out"),
+                "manifolds": {"n_images": 3, **section},
+            }))
+            assert main(["manifolds", "--config", str(config)]) == code
+            assert message in capsys.readouterr().err
 
     def test_forward_consistency(self, all_cases):
         # Iterating any branch point forward by its depth lands on the
