@@ -39,7 +39,6 @@ from .mapcore import (
     eval_map_arrays,
     eval_return,
     eval_saddle,
-    iterate,
     jacobian,
     region_of,
     saddle_power,
@@ -58,7 +57,7 @@ from .orbits import (
     scan_srk,
     srk_quadratic,
 )
-from .params import EXAMPLE_CASES, MapParams, example_family
+from .params import EXAMPLE_CASES, MapParams
 from .theory import (
     GrowthDiagnostic,
     TheoryReport,

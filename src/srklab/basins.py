@@ -167,7 +167,6 @@ class IterationStats:
 
 @dataclass
 class BasinGrid:
-    window: Rect
     nx: int
     ny: int
     labels: np.ndarray  # (nx, ny) int32; [ix, iy] with iy increasing upward
@@ -436,7 +435,7 @@ def raster(
         cycle_cells=dict(sorted(cycle_cells.items())),
     )
     grid_labels = np.ascontiguousarray(labels.reshape(ny, nx).T)
-    return BasinGrid(window=window, nx=nx, ny=ny, labels=grid_labels, stats=stats)
+    return BasinGrid(nx=nx, ny=ny, labels=grid_labels, stats=stats)
 
 
 # -- output -------------------------------------------------------------------

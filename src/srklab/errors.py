@@ -9,9 +9,8 @@ class SrkLabError(Exception):
 class EscapeError(SrkLabError):
     """An orbit left the configured escape radius."""
 
-    def __init__(self, at_step: int, points=None):
+    def __init__(self, at_step: int):
         self.at_step = at_step
-        self.points = points
         super().__init__(f"orbit escaped at step {at_step}")
 
 

@@ -75,9 +75,9 @@ class ManifoldCurve:
     provenance (seed parameter and generation per point) so tangency hits
     can be re-sharpened by re-iterating the seed.
 
-    ``arc_length`` and ``refinement.max_gap`` are the sum and the largest
-    of the segment lengths over the joined segments with both ends inside
-    the clip window (not its padded refinement window).
+    ``refinement.max_gap`` is the largest segment length over the joined
+    segments with both ends inside the clip window (not its padded
+    refinement window).
     ``refinement.inserted_points`` counts the midpoints added to the
     unstable curve, or to the preimage branch that a stable curve was cut
     from.  Every sample made counts against the point budget: the
@@ -87,9 +87,6 @@ class ManifoldCurve:
     """
 
     points: np.ndarray
-    kind: str  # "unstable" | "stable"
-    branch_index: int
-    arc_length: float
     refinement: RefinementStats
     joined: np.ndarray
     seed_t: np.ndarray | None = None
@@ -153,35 +150,18 @@ def _newton_preimage(
     return p, _BLEND_NEWTON_MAX_ITER, res
 
 
-def _piece_inverses(params: MapParams, q: Point2) -> list[Point2]:
-    """The saddle inverse of q, then its return inverse where one exists."""
-    out = [invert_saddle(params, q)]
-    try:
-        out.append(invert_return(params, q))
-    except DegenerateCoefficientsError:
-        pass
-    return out
+def invert_blend(params: MapParams, q: Point2, guesses: list[Point2]) -> Point2 | None:
+    """A preimage of q inside the blend strip, by Newton iteration from the guesses.
 
-
-def invert_blend(params: MapParams, q: Point2, guesses: list[Point2]) -> list[Point2]:
-    """Preimages of q inside the blend strip, by Newton iteration from each guess.
-
-    Solutions are kept when the residual is at most 1e-10 and the point
-    lies strictly inside the strip; duplicates are merged.  May be empty.
+    Returns the point reached from the first guess whose residual is at
+    most 1e-10 and whose point lies strictly inside the strip, or None.
     """
-    solutions: list[Point2] = []
     for guess in guesses:
         p, _, res = _newton_preimage(params, q, guess)
-        if not (res <= _BLEND_NEWTON_TOL):  # also rejects NaN residuals
-            continue
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            continue
-        if region_of(params, p.y) is not Region.BLEND:
-            continue
-        if any(max(abs(p.x - s.x), abs(p.y - s.y)) < 1e-9 for s in solutions):
-            continue
-        solutions.append(p)
-    return solutions
+        # A NaN residual fails the test; a residual within it has a finite p.
+        if res <= _BLEND_NEWTON_TOL and region_of(params, p.y) is Region.BLEND:
+            return p
+    return None
 
 
 # -- one refinement engine for both manifolds ----------------------------------
@@ -276,14 +256,14 @@ def _refine(
 
 def _finish(
     points: np.ndarray, clip: Rect, window: Rect
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Clip a polyline to ``window`` and measure it inside ``clip``.
 
     A finite point is kept when it or a neighbour lies inside ``window``,
     so curve pieces keep their window-crossing anchors; ``joined[i]`` says
     whether kept points i and i+1 were adjacent.  Returns the kept
-    indices, ``joined``, and the arc length and largest gap over the joined
-    segments with both ends inside ``clip``.
+    indices, ``joined``, and the largest gap over the joined segments with
+    both ends inside ``clip``.
     """
     inside = _inside(points, window)
     keep = inside.copy()
@@ -295,7 +275,7 @@ def _finish(
     deltas = np.diff(points[kept_idx], axis=0)
     in_clip = _inside(points[kept_idx], clip)
     gaps = np.hypot(deltas[:, 0], deltas[:, 1])[joined & in_clip[:-1] & in_clip[1:]]
-    return kept_idx, joined, float(gaps.sum()), float(gaps.max(initial=0.0))
+    return kept_idx, joined, float(gaps.max(initial=0.0))
 
 
 # -- unstable manifold --------------------------------------------------------
@@ -371,12 +351,9 @@ def trace_unstable(
     seed_t, points, generation = (
         np.concatenate([first[j], *(piece[j][1:] for piece in rest)]) for j in range(3)
     )
-    kept_idx, joined, arc_length, stats.max_gap = _finish(points, clip, window)
+    kept_idx, joined, stats.max_gap = _finish(points, clip, window)
     return ManifoldCurve(
         points=points[kept_idx],
-        kind="unstable",
-        branch_index=0,
-        arc_length=arc_length,
         refinement=stats,
         joined=joined,
         seed_t=seed_t[kept_idx],
@@ -400,12 +377,12 @@ def _preimage_points(
         out = np.full((pts.shape[0], 2), np.nan)
         for i in range(pts.shape[0]):
             q = Point2(float(pts[i, 0]), float(pts[i, 1]))
-            guesses = _piece_inverses(params, q)
+            guesses = [invert_saddle(params, q), invert_return(params, q)]
             if prev is not None and np.isfinite(prev[i]).all():
                 guesses.insert(0, Point2(float(prev[i, 0]), float(prev[i, 1])))
-            sols = invert_blend(params, q, guesses)
-            if sols:
-                out[i] = (sols[0].x, sols[0].y)
+            p = invert_blend(params, q, guesses)
+            if p is not None:
+                out[i] = p
         return out
     if branch == "saddle":
         out = np.column_stack(invert_saddle(params, Point2(pts[:, 0], pts[:, 1])))
@@ -445,7 +422,8 @@ def trace_stable(
     every stage.  No branch is started once the budget has run out.
     Raises ``DegenerateCoefficientsError`` for depth >= 1 when the return
     piece has no exact inverse (see ``invert_return``), and ``ValueError``
-    when the segment length over ``max_gap`` overflows a double.
+    when the segment length over ``max_gap`` overflows a double, or when
+    the budget runs out before any branch reaches the clip window.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -469,14 +447,11 @@ def trace_stable(
     curves: list[ManifoldCurve] = []
 
     def emit(chain: list[np.ndarray], branches: tuple[str, ...], inserted: int) -> None:
-        kept_idx, joined, arc_length, gap = _finish(chain[-1], clip, window)
+        kept_idx, joined, gap = _finish(chain[-1], clip, window)
         if kept_idx.size >= 2:
             curves.append(
                 ManifoldCurve(
                     points=chain[-1][kept_idx],
-                    kind="stable",
-                    branch_index=len(curves),
-                    arc_length=arc_length,
                     refinement=RefinementStats(inserted, gap),
                     joined=joined,
                     params=params,
@@ -518,6 +493,10 @@ def trace_stable(
                 frontier.append((sub, child))
             if cut.budget_exhausted:
                 break
+    if cut.budget_exhausted and not curves:
+        raise ValueError(
+            f"point budget {point_budget} ran out before any stable branch reached 'clip'"
+        )
     for curve in curves:
         curve.refinement.budget_exhausted = cut.budget_exhausted
     return curves
@@ -579,7 +558,7 @@ def detect_tangencies(curve: ManifoldCurve, axis_tol: float) -> list[TangencyHit
             0.0,
         )
         if i + 2 < n:
-            curv = float(y[i] - 2.0 * y[i + 1] + y[min(i + 2, n - 1)])
+            curv = float(y[i] - 2.0 * y[i + 1] + y[i + 2])
         else:
             curv = 0.0
         hits.append(TangencyHit(loc, "transversal", math.copysign(1.0, curv) if curv else 0.0))
@@ -627,9 +606,9 @@ def detect_tangencies(curve: ManifoldCurve, axis_tol: float) -> list[TangencyHit
 
 def curves_to_csv(curves: list[ManifoldCurve]) -> str:
     lines = ["branch_id,point_index,x,y"]
-    for curve in curves:
+    for branch, curve in enumerate(curves):
         for i, (x, y) in enumerate(curve.points):
-            lines.append(f"{curve.branch_index},{i},{float(x)!r},{float(y)!r}")
+            lines.append(f"{branch},{i},{float(x)!r},{float(y)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EscapeError, ResonanceFormUnavailableError, SingularJacobianError
+from .errors import ResonanceFormUnavailableError, SingularJacobianError
 from .params import MapParams
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "region_of",
     "eval_map",
     "jacobian",
-    "iterate",
     "saddle_power",
     "eval_map_arrays",
 ]
@@ -215,32 +214,6 @@ def jacobian(params: MapParams, p: Point2) -> Jacobian2:
     p0 = eval_saddle(params, p)
     p1 = eval_return(params, p)
     return Jacobian2(j.a, j.b + dr * (p1.x - p0.x), j.c, j.d + dr * (p1.y - p0.y))
-
-
-def iterate(
-    params: MapParams,
-    p: Point2,
-    n: int,
-    escape_radius: float = 10.0,
-) -> list[Point2]:
-    """Forward orbit [p, f(p), ..., f^n(p)].
-
-    Raises ``EscapeError`` (carrying the partial orbit) as soon as a point
-    exceeds ``escape_radius`` in the max norm.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    pts = [Point2(float(p[0]), float(p[1]))]
-    if max(abs(pts[0].x), abs(pts[0].y)) > escape_radius:
-        raise EscapeError(at_step=0, points=pts)
-    for step in range(1, n + 1):
-        nxt = eval_map(params, pts[-1])
-        pts.append(nxt)
-        if not (math.isfinite(nxt.x) and math.isfinite(nxt.y)):
-            raise EscapeError(at_step=step, points=pts)
-        if max(abs(nxt.x), abs(nxt.y)) > escape_radius:
-            raise EscapeError(at_step=step, points=pts)
-    return pts
 
 
 def saddle_power(params: MapParams, p: Point2, k: int) -> Point2:

@@ -248,7 +248,7 @@ def _cycle_and_residual(
         pts.append(eval_map(params, pts[-1]))
     closing = eval_map(params, pts[-1])
     if not (math.isfinite(closing.x - p.x) and math.isfinite(closing.y - p.y)):
-        raise EscapeError(at_step=period, points=pts)
+        raise EscapeError(at_step=period)
     return pts, closing
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any
 
-__all__ = ["MapParams", "example_family", "EXAMPLE_CASES"]
+__all__ = ["MapParams", "EXAMPLE_CASES"]
 
 # JSON key for the contraction eigenvalue ("lambda" is reserved in Python).
 _LAM_KEY = "lambda"
@@ -142,25 +142,13 @@ class MapParams:
         return MapParams.from_dict({**data, **given})
 
 
-def example_family(
-    lam: float,
-    sigma: float,
-    d1: float,
-    c2: float = -0.5,
-    d5: float = 1.0,
-    **extra: float,
-) -> MapParams:
-    """Map family member with the standard threshold construction."""
-    return MapParams(lam=lam, sigma=sigma, c2=c2, d1=d1, d5=d5, **extra)
-
-
 #: The four reference parameter cases, keyed by the eigenvalue sign pattern
 #: (lam sign then sigma sign).  "pp" and "nn" are orientation-preserving
 #: (lam*sigma = 1); "pn" and "np" are orientation-reversing (lam*sigma = -1)
 #: with stable single-round orbits at even and odd k respectively.
 EXAMPLE_CASES: dict[str, MapParams] = {
-    "pp": example_family(0.8, 1.25, 1.0),
-    "nn": example_family(-0.8, -1.25, 1.0),
-    "pn": example_family(0.8, -1.25, 1.0),
-    "np": example_family(-0.8, 1.25, -1.0),
+    "pp": MapParams(lam=0.8, sigma=1.25, c2=-0.5, d1=1.0, d5=1.0),
+    "nn": MapParams(lam=-0.8, sigma=-1.25, c2=-0.5, d1=1.0, d5=1.0),
+    "pn": MapParams(lam=0.8, sigma=-1.25, c2=-0.5, d1=1.0, d5=1.0),
+    "np": MapParams(lam=-0.8, sigma=1.25, c2=-0.5, d1=-1.0, d5=1.0),
 }

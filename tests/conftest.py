@@ -49,6 +49,16 @@ def fd_jacobian(params: MapParams, p: Point2, step: float = 1e-6) -> np.ndarray:
     return out
 
 
+def walk(params: MapParams, p: Point2, n: int, radius: float = 10.0) -> list[Point2]:
+    """The orbit [p, f(p), ..., f^n(p)] by scalar ``eval_map``, cut short
+    after the first point that is not within ``radius`` in the max norm."""
+    pts = [p]
+    while len(pts) <= n and max(abs(p.x), abs(p.y)) <= radius:
+        p = eval_map(params, p)
+        pts.append(p)
+    return pts
+
+
 def truncated_saddle_step(params: MapParams, p: Point2) -> Point2:
     """One step of the resonance-truncated near-saddle map (lam*sigma = 1)."""
     xy = p.x * p.y

