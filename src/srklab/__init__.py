@@ -46,6 +46,7 @@ from .mapcore import (
 )
 from .orbits import (
     Branch,
+    OrbitPoints,
     RootPair,
     ScanRecord,
     ScanResult,

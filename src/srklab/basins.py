@@ -98,8 +98,9 @@ class AttractorRegistry:
         points: list[Point2] | np.ndarray,
         label: str | None = None,
     ) -> Attractor:
-        """Register one periodic orbit; re-verifies periodicity under the map."""
-        pts = np.asarray([(p[0], p[1]) for p in points], dtype=float)
+        """Register one periodic orbit, given as points or as a (period, 2)
+        array; re-verifies periodicity under the map."""
+        pts = np.array(points, dtype=float)
         period = pts.shape[0]
         p = Point2(float(pts[0, 0]), float(pts[0, 1]))
         for _ in range(period):
@@ -135,7 +136,7 @@ class AttractorRegistry:
         for orbit in orbits:
             if orbit.stability is not StabilityClass.ASYMPTOTICALLY_STABLE:
                 continue
-            registry.add(params, list(orbit.points), label=f"sr{orbit.k}")
+            registry.add(params, orbit.points.array(), label=f"sr{orbit.k}")
         return registry
 
     def __len__(self) -> int:
@@ -245,7 +246,7 @@ def _polish_cycle(
         orbit = newton_periodic(params, p, period)
     except SrkLabError:
         return None
-    cycle = np.array(orbit.points, dtype=float)
+    cycle = orbit.points.array()
     gap = np.abs(cycle[:, None, :] - reg_pts[None, :, :]).max(axis=2).min()
     stable = orbit.stability is StabilityClass.ASYMPTOTICALLY_STABLE
     return cycle, bool(stable and gap > clearance)

@@ -22,9 +22,14 @@ there) are re-solved with a damped Newton iteration on f^period.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, repeat
+from operator import mul
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     DegenerateCoefficientsError,
@@ -34,13 +39,22 @@ from .errors import (
     NotMinimalError,
     SingularJacobianError,
 )
-from .mapcore import Jacobian2, Point2, Region, eval_map, eval_return, jacobian, region_of
+from .mapcore import (
+    Jacobian2,
+    Point2,
+    Region,
+    _return_jacobian,
+    eval_map,
+    eval_return,
+    region_of,
+)
 from .params import MapParams
 from .stability import StabilityClass, classify, orbit_jacobian
 
 __all__ = [
     "Branch",
     "RootPair",
+    "OrbitPoints",
     "SRkOrbit",
     "ScanRecord",
     "ScanResult",
@@ -77,23 +91,78 @@ class RootPair:
         return self.u_minus if branch is Branch.MINUS else self.u_plus
 
 
+class OrbitPoints(Sequence):
+    """An orbit's points as two coordinate tuples, ``xs`` and ``ys``.
+
+    A ``Point2`` is made only when a point is read; a slice reads as a
+    tuple of them.  Equal to (and hashes as) the tuple of its points, so
+    it compares with a plain tuple of ``Point2``.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
+        self.xs = xs
+        self.ys = ys
+
+    @classmethod
+    def of(cls, points: Sequence[Point2]) -> "OrbitPoints":
+        """``points`` itself if it is an ``OrbitPoints``, else its columns."""
+        if isinstance(points, OrbitPoints):
+            return points
+        return cls(tuple(p[0] for p in points), tuple(p[1] for p in points))
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(Point2, self.xs[index], self.ys[index]))
+        return Point2(self.xs[index], self.ys[index])
+
+    def __iter__(self) -> Iterator[Point2]:
+        return map(Point2, self.xs, self.ys)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, OrbitPoints):
+            return self.xs == other.xs and self.ys == other.ys
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"OrbitPoints({tuple(self)!r})"
+
+    def array(self) -> np.ndarray:
+        """The points as a (period, 2) float array, read from the columns."""
+        return np.column_stack((self.xs, self.ys))
+
+
 @dataclass(frozen=True)
 class SRkOrbit:
     """A computed periodic solution.
 
     ``points`` starts at the above-strip point for a closed-form orbit and
-    at the converged iterate for a Newton orbit.  ``method`` is
-    "closed-form" or "newton".
+    at the converged iterate for a Newton orbit.  It is always an
+    ``OrbitPoints``; any other sequence of points given to the
+    constructor (or to ``dataclasses.replace``) is converted to one.
+    ``method`` is "closed-form" or "newton".
     """
 
     k: int
-    points: tuple[Point2, ...]
+    points: OrbitPoints
     branch: Branch | None
     residual: float
     trace: float
     det: float
     stability: StabilityClass
     method: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", OrbitPoints.of(self.points))
 
     @property
     def period(self) -> int:
@@ -159,35 +228,137 @@ def _proper_divisors(n: int) -> list[int]:
     return sorted({*small, *(n // d for d in small)} - {n})
 
 
-def _finish_orbit(
-    k: int,
-    points: Sequence[Point2],
-    closing: Point2,
-    jac: Jacobian2,
-    branch: Branch | None,
-    method: str,
-) -> SRkOrbit:
-    """Label the orbit walked as ``points`` with closing image f^period(p0)
-    and period Jacobian ``jac``."""
-    p0 = points[0]
-    tau, delta = jac.trace, jac.det
-    return SRkOrbit(
-        k=k,
-        points=tuple(points),
-        branch=branch,
-        residual=max(abs(closing.x - p0.x), abs(closing.y - p0.y)),
-        trace=tau,
-        det=delta,
-        stability=classify(tau, delta),
-        method=method,
-    )
-
-
 def _point_above_strip(params: MapParams, k: int, u: float) -> Point2:
     """(lam**k*(x_star + c2*u)/(1 - c1*lam**k), y_star + u) for root u."""
     lamk = params.lam**k
     x_up = lamk * (params.x_star + params.c2 * u) / (1.0 - params.c1 * lamk)
     return Point2(x_up, params.y_star + u)
+
+
+class _Walks(NamedTuple):
+    """The batched walk's result, one entry per candidate row: its k, its
+    above-strip point, the return image ``first`` of that point, its
+    latest point ``last`` (point k when k >= 1), its points outside their
+    required region (rows without any are absent), and its period
+    Jacobian's trace and det."""
+
+    ks: Sequence[int]
+    ups: Sequence[Point2]
+    first: list[list[float]]
+    last: list[list[float]]
+    violations: dict[int, list[tuple[int, Region]]]
+    trace: list[float]
+    det: list[float]
+
+    def residual(self, params: MapParams, row: int) -> float:
+        """The closing residual of an orbit whose itinerary holds.  In pure
+        regions the map is the piece walked: one call closes the orbit."""
+        up = self.ups[row]
+        closing = eval_map(params, Point2(*self.last[row]) if self.ks[row] else up)
+        return max(abs(closing.x - up.x), abs(closing.y - up.y))
+
+    def heights(self, params: MapParams, row: int) -> Iterable[float]:
+        """The y of the row's points below the strip, by the walk's
+        sequential products."""
+        k, y1 = self.ks[row], self.first[row][1]
+        return accumulate(repeat(params.sigma, k - 1), mul, initial=y1) if k else ()
+
+    def itinerary_violations(self, params: MapParams, row: int) -> list[tuple[int, Region]]:
+        """The row's points outside their required region, as (step, Region)."""
+        region = region_of(params, self.ups[row].y)
+        out = [] if region is Region.UPPER else [(0, region)]
+        out.extend(
+            (j, region_of(params, y))
+            for j, y in enumerate(self.heights(params, row), 1)
+            if not y <= params.h0
+        )
+        return out
+
+    def points(self, params: MapParams, row: int) -> OrbitPoints:
+        """The row's orbit points: the above-strip point, then ``first``
+        and its saddle images by the walk's sequential products."""
+        k, up = self.ks[row], self.ups[row]
+        xs = accumulate(repeat(params.lam, k - 1), mul, initial=self.first[row][0]) if k else ()
+        return OrbitPoints((up.x, *xs), (up.y, *self.heights(params, row)))
+
+    def orbit(
+        self, params: MapParams, row: int, branch: Branch | None, residual: float
+    ) -> SRkOrbit:
+        tau, delta = self.trace[row], self.det[row]
+        return SRkOrbit(
+            k=self.ks[row],
+            points=self.points(params, row),
+            branch=branch,
+            residual=residual,
+            trace=tau,
+            det=delta,
+            stability=classify(tau, delta),
+            method="closed-form",
+        )
+
+
+def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks:
+    """Walk the closed-form candidates (ks[i], ups[i]) together; ``ks``
+    must not increase, so the rows still walking at step j (those with
+    k >= j) form a prefix.
+
+    Step j applies the scalar expressions elementwise: point j is the
+    saddle piece's image (lam*x, sigma*y) of point j - 1, and the period
+    Jacobian takes one saddle factor in the form ``Jacobian2.matmul``
+    gives it, after the return Jacobian at the above-strip point.  So
+    every value equals the one-point walk and ``orbit_jacobian`` over the
+    points bit for bit; the 0.0 terms keep their signed zeros and NaNs.
+    The walk keeps O(candidates) state: each row's latest point and
+    Jacobian product, not its points.  The itinerary is decided from the
+    above-strip point and the last heights; only a row that may break it
+    is re-walked, by ``_Walks.itinerary_violations``, which lists the
+    points outside their region exactly.
+    """
+    n = len(ks)
+    lam, sigma, h0, h1 = params.lam, params.sigma, params.h0, params.h1
+    up = Point2(*np.fromiter(chain.from_iterable(ups), float, 2 * n).reshape(n, 2).T)
+    # Rows x, y of each candidate's latest point, then rows a, b, d, c of
+    # its Jacobian product: reversed, each entry meets the one its 0.0
+    # term reads.  Step j updates the prefix in place, so a row keeps its
+    # values from its last step.
+    state = np.empty((6, n))
+    scale = np.array([[lam], [sigma], [lam], [lam], [sigma], [sigma]])
+    pt_scale, jac_scale = scale[:2], scale[2:]
+    with np.errstate(all="ignore"):
+        # A candidate whose first point is not above the strip fails its
+        # itinerary, so the return piece's values stand for every row.
+        state[0], state[1] = eval_return(params, up)
+        first = state[:2].T.tolist()
+        ja, jb, jc, jd = _return_jacobian(params, up).matmul(Jacobian2.identity())
+        state[2], state[3], state[4], state[5] = ja, jb, jd, jc
+        live = n
+        for j in range(1, (ks[0] if n else 0) + 1):
+            while ks[live - 1] < j:
+                live -= 1
+            pt, jac = state[:2, :live], state[2:, :live]
+            if j > 1:
+                pt *= pt_scale
+            zero = jac[::-1] * 0.0
+            jac *= jac_scale
+            jac += zero
+        a, b, d, c = state[2:]
+        trace, det = (a + d).tolist(), (a * d - b * c).tolist()
+        # Each height below the strip is sigma times the one before, with
+        # |sigma| > 1, so the positive ones grow: the highest is yk or,
+        # when sigma < 0, y(k-1), and y(k-1) > h0 > 0 would round yk to
+        # at most sigma*h0.  Both tests fail on NaN; a row that fails
+        # either is re-walked exactly below.
+        yk = state[1]
+        fine = (up.y >= h1) & (yk <= h0)
+        if sigma < 0.0:
+            fine &= yk > sigma * h0
+        strayed = np.flatnonzero(~fine).tolist()
+    walks = _Walks(ks, ups, first, state[:2].T.tolist(), {}, trace, det)
+    for row in strayed:
+        violations = walks.itinerary_violations(params, row)
+        if violations:
+            walks.violations[row] = violations
+    return walks
 
 
 def assemble_orbit(
@@ -197,43 +368,20 @@ def assemble_orbit(
 
     The above-strip point comes from ``_point_above_strip``; the return
     piece then the saddle piece applied k times produce the remaining
-    points.  One loop over plain floats steps the saddle piece, records
-    every point outside its required region, and multiplies the period
-    Jacobian: the return Jacobian at the above-strip point, then k times
-    the saddle Jacobian (lam, 0, 0, sigma), with the products
-    ``Jacobian2.matmul`` forms, so the result equals ``orbit_jacobian``
-    over the points bit for bit.  Raises ``ItineraryInvalidError`` when
-    any point falls outside its required region (the closed form is then
-    not a genuine orbit of the piecewise map).  An orbit that passes is
-    minimal: its one point above the strip cannot recur before k + 1 steps.
+    points.  This is ``scan_srk``'s batched walk (``_walk``) run on one
+    candidate: it checks the itinerary and multiplies the period Jacobian
+    (the return Jacobian at the above-strip point, then k saddle factors)
+    equal to ``orbit_jacobian`` over the points bit for bit, and one
+    ``eval_map`` call on the last point gives the closing residual.
+    Raises ``ItineraryInvalidError`` when any point falls outside its
+    required region (the closed form is then not a genuine orbit of the
+    piecewise map).  An orbit that passes is minimal: its one point above
+    the strip cannot recur before k + 1 steps.
     """
-    lam, sigma, h0 = params.lam, params.sigma, params.h0
-    p_up = _point_above_strip(params, k, u)
-    points = [p_up]
-    region_up = region_of(params, p_up.y)
-    violations = [] if region_up is Region.UPPER else [(0, region_up)]
-    # The products orbit_jacobian forms through matmul, from the identity
-    # on; the 0.0 terms keep its signed zeros and NaNs.
-    a, b, c, d = jacobian(params, p_up).matmul(Jacobian2.identity())
-    x, y = eval_return(params, p_up)
-    for j in range(1, k + 1):
-        points.append(Point2(x, y))
-        if not y <= h0:
-            violations.append((j, region_of(params, y)))
-        a, b, c, d = (
-            lam * a + 0.0 * c,
-            lam * b + 0.0 * d,
-            0.0 * a + sigma * c,
-            0.0 * b + sigma * d,
-        )
-        x, y = lam * x, sigma * y
-    if violations:
-        raise ItineraryInvalidError(violations)
-    # In pure regions the map is the piece used above: one call closes the orbit.
-    closing = eval_map(params, points[-1])
-    return _finish_orbit(
-        k, points, closing, Jacobian2(a, b, c, d), branch, "closed-form"
-    )
+    walks = _walk(params, [k], [_point_above_strip(params, k, u)])
+    if walks.violations:
+        raise ItineraryInvalidError(walks.violations[0])
+    return walks.orbit(params, 0, branch, walks.residual(params, 0))
 
 
 def _cycle_and_residual(
@@ -300,7 +448,8 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
         if max(abs(pts[d].x - p.x), abs(pts[d].y - p.y)) <= MINIMALITY_TOL:
             raise NotMinimalError(divisor=d)
     jac = orbit_jacobian(params, pts)
-    return _finish_orbit(period - 1, pts, closing, jac, None, "newton")
+    tau, delta = jac.trace, jac.det
+    return SRkOrbit(period - 1, pts, None, res, tau, delta, classify(tau, delta), "newton")
 
 
 @dataclass(frozen=True)
@@ -342,43 +491,43 @@ def _same_orbit(a: SRkOrbit, b: SRkOrbit) -> bool:
     if a.period != b.period:
         return False
     # Compare point sets up to cyclic rotation.
+    ax, ay, bx, by = a.points.xs, a.points.ys, b.points.xs, b.points.ys
     for shift in range(b.period):
         if all(
-            max(abs(pa.x - pb.x), abs(pa.y - pb.y)) <= _SAME_ORBIT_TOL
-            for pa, pb in zip(a.points, b.points[shift:] + b.points[:shift])
+            max(abs(xa - xb), abs(ya - yb)) <= _SAME_ORBIT_TOL
+            for xa, ya, xb, yb in zip(ax, ay, bx[shift:] + bx[:shift], by[shift:] + by[:shift])
         ):
             return True
     return False
 
 
-def _scan_one(
-    params: MapParams, k: int, branch: Branch, found: list[SRkOrbit]
+def _same_points(params: MapParams, prev: SRkOrbit, walks: _Walks, row: int) -> bool:
+    """Whether walked ``row`` has exactly the points of ``prev``, an orbit
+    of the same k.  A closed-form orbit's points follow from its first
+    two, so those decide against another one."""
+    head = (walks.ups[row], tuple(walks.first[row]))[: walks.ks[row] + 1]
+    if prev.points[: len(head)] != head:
+        return False
+    return prev.method == "closed-form" or prev.points == walks.points(params, row)
+
+
+def _closed_form_record(
+    params: MapParams,
+    branch: Branch,
+    roots: RootPair,
+    walks: _Walks,
+    row: int,
+    found: list[SRkOrbit],
 ) -> ScanRecord:
-    try:
-        roots = srk_quadratic(params, k)
-    except OverflowError as err:  # sigma**k beyond the double range
-        return ScanRecord(k, branch, "precision-limited", None, str(err))
-    except DegenerateCoefficientsError as err:  # d5 == 0, c1*lam**k == 1, or qa == 0
-        return ScanRecord(k, branch, "degenerate", None, str(err))
-    u = roots.get(branch)
-    if u is None:
-        return ScanRecord(k, branch, "no-real-root", None, "negative discriminant")
-    try:
-        orbit = assemble_orbit(params, k, u, branch)
-        if not orbit.residual <= CLOSING_TOL:  # also flags NaN residuals
-            detail = f"closing residual {orbit.residual:.3e}"
-            return ScanRecord(k, branch, "precision-limited", None, detail)
-        if found and found[-1].k == k and found[-1].points == orbit.points:
-            if roots.u_minus == roots.u_plus:
-                return ScanRecord(k, branch, "duplicate", None, "double root")
-            return ScanRecord(k, branch, "precision-limited", None, "same points as minus")
-        return ScanRecord(k, branch, "closed-form", orbit)
-    except ItineraryInvalidError as err:
-        blend_only = all(region is Region.BLEND for _, region in err.violations)
-        if not blend_only:
+    """The scan's outcome for walked ``row``, a root of ``branch``."""
+    k = walks.ks[row]
+    violations = walks.violations.get(row)
+    if violations:
+        err = ItineraryInvalidError(violations)
+        if not all(region is Region.BLEND for _, region in violations):
             return ScanRecord(k, branch, "itinerary-invalid", None, str(err))
         try:
-            orbit = newton_periodic(params, _point_above_strip(params, k, u), k + 1)
+            orbit = newton_periodic(params, walks.ups[row], k + 1)
         except (NoConvergenceError, SingularJacobianError, NotMinimalError, EscapeError) as nerr:
             return ScanRecord(k, branch, "newton-failed", None, str(nerr))
         for other in found:
@@ -387,6 +536,15 @@ def _scan_one(
                     k, branch, "duplicate", None, "newton converged onto another branch"
                 )
         return ScanRecord(k, branch, "newton", replace(orbit, branch=branch), str(err))
+    residual = walks.residual(params, row)
+    if not residual <= CLOSING_TOL:  # also flags NaN residuals
+        detail = f"closing residual {residual:.3e}"
+        return ScanRecord(k, branch, "precision-limited", None, detail)
+    if found and found[-1].k == k and _same_points(params, found[-1], walks, row):
+        if roots.u_minus == roots.u_plus:
+            return ScanRecord(k, branch, "duplicate", None, "double root")
+        return ScanRecord(k, branch, "precision-limited", None, "same points as minus")
+    return ScanRecord(k, branch, "closed-form", walks.orbit(params, row, branch, residual))
 
 
 def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
@@ -395,7 +553,9 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
     The closed form is used where its itinerary is valid; orbits that
     stray into the blend strip (and only there) are re-solved by Newton
     iteration seeded with the closed form.  Per-k failures are recorded,
-    never raised.
+    never raised.  Every (k, branch) with a real root is walked in one
+    batched pass (``_walk``), and points are built only for the orbits
+    that are kept.
 
     Where doubles cannot carry a closed-form orbit it is recorded as
     ``precision-limited``, never labelled: ``sigma**k`` overflows, its
@@ -405,14 +565,39 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
     """
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
+    # Each slot is a finished record or the (branch, roots) of a candidate.
+    slots: list[ScanRecord | tuple[Branch, RootPair]] = []
+    ks: list[int] = []
+    ups: list[Point2] = []
+    for k in range(k_min, k_max + 1):
+        try:
+            roots = srk_quadratic(params, k)
+        except OverflowError as err:  # sigma**k beyond the double range
+            slots += [ScanRecord(k, b, "precision-limited", None, str(err)) for b in Branch]
+            continue
+        except DegenerateCoefficientsError as err:  # d5 == 0, c1*lam**k == 1, or qa == 0
+            slots += [ScanRecord(k, b, "degenerate", None, str(err)) for b in Branch]
+            continue
+        for branch in Branch:
+            u = roots.get(branch)
+            if u is None:
+                slots.append(ScanRecord(k, branch, "no-real-root", None, "negative discriminant"))
+            else:
+                slots.append((branch, roots))
+                ks.append(k)
+                ups.append(_point_above_strip(params, k, u))
+    # Walk in descending k, so the rows still walking form a prefix.
+    walks = _walk(params, ks[::-1], ups[::-1])
+    row = len(ks)
     records: list[ScanRecord] = []
     found: list[SRkOrbit] = []
-    for k in range(k_min, k_max + 1):
-        for branch in (Branch.MINUS, Branch.PLUS):
-            record = _scan_one(params, k, branch, found)
-            records.append(record)
-            if record.orbit is not None:
-                found.append(record.orbit)
+    for slot in slots:
+        if not isinstance(slot, ScanRecord):
+            row -= 1
+            slot = _closed_form_record(params, *slot, walks, row, found)
+            if slot.orbit is not None:
+                found.append(slot.orbit)
+        records.append(slot)
     return ScanResult(records=tuple(records))
 
 
@@ -428,7 +613,8 @@ def orbits_to_csv(orbits: Iterable[SRkOrbit]) -> str:
         branch = orbit.branch.value if orbit.branch is not None else ""
         head = f"{orbit.k},{orbit.period},{branch},"
         tail = f",{orbit.trace!r},{orbit.det!r},{orbit.stability.value},{orbit.residual!r}"
-        lines.extend(f"{head}{j},{x!r},{y!r}{tail}" for j, (x, y) in enumerate(orbit.points))
+        pts = orbit.points
+        lines.extend(f"{head}{j},{x!r},{y!r}{tail}" for j, (x, y) in enumerate(zip(pts.xs, pts.ys)))
     return "\n".join(lines) + "\n"
 
 

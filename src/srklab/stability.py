@@ -60,11 +60,13 @@ def orbit_jacobian(params: MapParams, points: Sequence[Point2]) -> Jacobian2:
 
     Newton's steps and labels use this product, and the tests use it as
     the reference.  Closed-form orbits, whose itinerary is known, get the
-    same product bit for bit from the loop in ``assemble_orbit``.
+    same product bit for bit from the batched walk of ``scan_srk`` and
+    ``assemble_orbit``, which applies the saddle factors to every
+    candidate at once.
     """
     total = Jacobian2.identity()
     for p in points:
-        total = jacobian(params, Point2(p[0], p[1])).matmul(total)
+        total = jacobian(params, p).matmul(total)
     return total
 
 

@@ -238,14 +238,13 @@ def trace_growth_experiment(
     the fit automatically runs over same-parity k.  Raises
     ``InsufficientDataError`` when fewer than 4 orbits exist in range.
     """
-    result = scan_srk(params, k_min, k_max)
-    ks: list[int] = []
-    taus: list[float] = []
-    for k in range(k_min, k_max + 1):
-        orbit = result.orbit(k, Branch.MINUS)
-        if orbit is not None:
-            ks.append(k)
-            taus.append(orbit.trace)
+    minus = [
+        r
+        for r in scan_srk(params, k_min, k_max).records
+        if r.branch is Branch.MINUS and r.orbit is not None
+    ]
+    ks = [r.k for r in minus]
+    taus = [r.orbit.trace for r in minus]
     if len(ks) < 4:
         raise InsufficientDataError(
             f"only {len(ks)} orbits exist in k range [{k_min}, {k_max}]"

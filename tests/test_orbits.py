@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import math
 from decimal import Decimal
@@ -156,20 +157,23 @@ def piecewise_walk(params, k, u):
 LOW_K, HIGH_K = range(0, 61), range(390, 401)
 FUSED_WALK_SETS = {
     "pp": (EXAMPLE_CASES["pp"], [LOW_K, HIGH_K]),
-    "nn": (EXAMPLE_CASES["nn"], [LOW_K]),
-    "pn": (EXAMPLE_CASES["pn"], [LOW_K]),
+    "nn": (EXAMPLE_CASES["nn"], [LOW_K, HIGH_K]),
+    "pn": (EXAMPLE_CASES["pn"], [LOW_K, HIGH_K]),
     "np": (EXAMPLE_CASES["np"], [LOW_K, HIGH_K]),
     "pp-perturbed": (
         EXAMPLE_CASES["pp"].replace(c1=0.1, c2=-0.3, d3=0.05, d4=0.05),
-        [LOW_K],
+        [LOW_K, HIGH_K],
     ),
 }
+FUSED_WALK_SETS_PARAMS = {name: params for name, (params, _) in FUSED_WALK_SETS.items()}
 
 
 class TestFusedWalk:
-    """``assemble_orbit`` builds the points, checks the itinerary and forms
-    the period Jacobian in one loop; each must equal the separate
-    per-point computation bit for bit."""
+    """The scan's batched walk checks the itinerary and forms the period
+    Jacobian, and the kept orbits' points follow its products; each must
+    equal the separate per-point computation bit for bit.  On nn
+    (lam < 0, c1 = 0) the first Jacobian entry is a zero whose sign
+    follows c, so the repr comparison pins signed zeros."""
 
     @pytest.mark.parametrize(
         "params, ranges", list(FUSED_WALK_SETS.values()), ids=list(FUSED_WALK_SETS)
@@ -193,6 +197,98 @@ class TestFusedWalk:
                 jac = orbit_jacobian(params, orbit.points)
                 assert (repr(orbit.trace), repr(orbit.det)) == (repr(jac.trace), repr(jac.det))
         assert checked["closed-form"] > 0
+
+    @pytest.mark.parametrize(
+        "params", list(FUSED_WALK_SETS_PARAMS.values()), ids=list(FUSED_WALK_SETS_PARAMS)
+    )
+    def test_itinerary_verdicts_match_per_point_walk(self, params):
+        # The walk flags a row from its extreme heights; every record of
+        # k <= 400 must still follow the per-point region test.
+        seen = set()
+        for record in scan_srk(params, 0, 400).records:
+            if record.status == "no-real-root":
+                continue
+            u = srk_quadratic(params, record.k).get(record.branch)
+            violations = _itinerary(params, piecewise_walk(params, record.k, u))
+            seen.add(record.status)
+            if record.status == "itinerary-invalid":
+                assert record.detail == str(ItineraryInvalidError(violations))
+            elif record.status in ("newton", "newton-failed") or record.detail.startswith("newton"):
+                assert violations and all(r is Region.BLEND for _, r in violations)
+                if record.status == "newton":
+                    assert record.detail == str(ItineraryInvalidError(violations))
+            else:
+                assert violations == [], (record.k, record.branch, record.status)
+        assert {"closed-form", "precision-limited"} <= seen
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestBatchInvariance:
+    """An orbit does not depend on the batch it was walked in."""
+
+    @pytest.mark.parametrize(
+        "params", list(FUSED_WALK_SETS_PARAMS.values()), ids=list(FUSED_WALK_SETS_PARAMS)
+    )
+    def test_scan_orbits_equal_single_walks(self, params):
+        checked = 0
+        for record in scan_srk(params, 0, 400).records:
+            if record.status != "closed-form":
+                continue
+            orbit = record.orbit
+            u = srk_quadratic(params, record.k).get(record.branch)
+            alone = assemble_orbit(params, record.k, u, record.branch)
+            assert _bits(orbit.points.xs) == _bits(alone.points.xs), record.k
+            assert _bits(orbit.points.ys) == _bits(alone.points.ys), record.k
+            got = (repr(orbit.trace), repr(orbit.det), repr(orbit.residual))
+            assert got == (repr(alone.trace), repr(alone.det), repr(alone.residual))
+            assert (orbit.stability, orbit.branch) == (alone.stability, alone.branch)
+            checked += 1
+        assert checked > 0
+
+    def test_split_range_gives_the_same_records(self, pp):
+        whole = scan_srk(pp, 0, 40).records
+        split = scan_srk(pp, 0, 19).records + scan_srk(pp, 20, 40).records
+        assert [(r.k, r.branch, r.status, r.detail) for r in whole] == [
+            (r.k, r.branch, r.status, r.detail) for r in split
+        ]
+        assert [r.orbit for r in whole] == [r.orbit for r in split]
+        assert {r.status for r in whole} >= {"closed-form", "newton", "itinerary-invalid"}
+
+
+class TestOrbitPoints:
+    """``SRkOrbit.points`` holds two coordinate columns and reads as a
+    tuple of ``Point2``: the benchmark's checks rebuild orbits with
+    ``dataclasses.replace`` and read points by attribute."""
+
+    @pytest.fixture
+    def orbit(self, pp):
+        return scan_srk(pp, 6, 6).records[0].orbit
+
+    def test_reads_as_a_tuple_of_points(self, orbit):
+        assert orbit.points == tuple(orbit.points)
+        assert tuple(orbit.points) == orbit.points
+        assert len({orbit.points, tuple(orbit.points)}) == 1
+        assert orbit.points[0].x == orbit.points.xs[0]
+        assert orbit.points[-1] == Point2(orbit.points.xs[-1], orbit.points.ys[-1])
+        assert orbit.points[1:3] == (orbit.points[1], orbit.points[2])
+        xs, ys = orbit.points.xs, orbit.points.ys
+        assert list(orbit.points) == [Point2(x, y) for x, y in zip(xs, ys)]
+        assert orbit.points.array().tolist() == [[x, y] for x, y in zip(xs, ys)]
+
+    def test_replace_with_a_moved_point_rebuilds_the_columns(self, orbit):
+        p0 = orbit.points[0]
+        moved = dataclasses.replace(
+            orbit, points=(Point2(p0.x + 1e-6, p0.y),) + orbit.points[1:]
+        )
+        assert moved.points.xs == (p0.x + 1e-6,) + orbit.points.xs[1:]
+        assert moved.points.ys == orbit.points.ys
+        assert moved.points != orbit.points
+        rows = orbits_to_csv([moved]).splitlines()
+        assert rows[1].split(",")[4] == repr(p0.x + 1e-6)
+        assert rows[2:] == orbits_to_csv([orbit]).splitlines()[2:]
 
 
 class TestNewton:
