@@ -470,8 +470,7 @@ def legend_csv(registry: AttractorRegistry) -> str:
 def labels_csv(grid: BasinGrid) -> str:
     """Raw label grid, one row per iy (bottom to top), comma-separated ix."""
     lines = ["# rows are iy = 0..ny-1 (bottom to top), columns ix = 0..nx-1"]
-    for iy in range(grid.ny):
-        lines.append(",".join(str(int(v)) for v in grid.labels[:, iy]))
+    lines.extend(",".join(map(str, row)) for row in grid.labels.T.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -607,8 +607,7 @@ def detect_tangencies(curve: ManifoldCurve, axis_tol: float) -> list[TangencyHit
 def curves_to_csv(curves: list[ManifoldCurve]) -> str:
     lines = ["branch_id,point_index,x,y"]
     for branch, curve in enumerate(curves):
-        for i, (x, y) in enumerate(curve.points):
-            lines.append(f"{branch},{i},{float(x)!r},{float(y)!r}")
+        lines.extend(f"{branch},{i},{x!r},{y!r}" for i, (x, y) in enumerate(curve.points.tolist()))
     return "\n".join(lines) + "\n"
 
 

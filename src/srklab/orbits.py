@@ -25,7 +25,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -604,18 +604,44 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
 # -- CSV export -------------------------------------------------------------
 
 _CSV_HEADER = "k,period,branch,j,x_j,y_j,trace,det,stability,residual"
+_FLOAT = frozenset({float})
+
+
+class _ReprCache(dict):
+    """``cache[x] == repr(x)`` for Python floats, each nonzero value
+    formatted once.  Zeros are not stored: ``0.0`` and ``-0.0`` are equal
+    keys that repr differently.  A stored float would also answer for an
+    equal ``np.float64`` or ``int``, so only columns of exact floats may
+    use it."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
 
 
 def orbits_to_csv(orbits: Iterable[SRkOrbit]) -> str:
-    """One row per orbit point; floats use shortest round-trip formatting."""
-    lines = [_CSV_HEADER]
+    """One row per orbit point; floats use shortest round-trip formatting.
+
+    Each distinct coordinate is formatted once per call: the SR_k family
+    walks the same saddle passage, so its large-k orbits repeat most of
+    their coordinates.
+    """
+    cache = _ReprCache()
+    parts = [_CSV_HEADER + "\n"]
     for orbit in orbits:
         branch = orbit.branch.value if orbit.branch is not None else ""
         head = f"{orbit.k},{orbit.period},{branch},"
-        tail = f",{orbit.trace!r},{orbit.det!r},{orbit.stability.value},{orbit.residual!r}"
-        pts = orbit.points
-        lines.extend(f"{head}{j},{x!r},{y!r}{tail}" for j, (x, y) in enumerate(zip(pts.xs, pts.ys)))
-    return "\n".join(lines) + "\n"
+        tail = f",{orbit.trace!r},{orbit.det!r},{orbit.stability.value},{orbit.residual!r}\n"
+        xs, ys = orbit.points.xs, orbit.points.ys
+        fmt = cache.__getitem__ if _FLOAT.issuperset(map(type, chain(xs, ys))) else repr
+        parts.append("".join([
+            f"{head}{j},{x},{y}{tail}" for j, x, y in zip(count(), map(fmt, xs), map(fmt, ys))
+        ]))
+    return "".join(parts)
 
 
 def orbits_from_csv(text: str) -> list[dict]:

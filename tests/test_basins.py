@@ -456,6 +456,17 @@ class TestPpm:
         assert text.splitlines()[1] == "0,-1"
         assert text.splitlines()[2] == "1,-2"
 
+    def test_labels_csv_matches_per_cell_formatting(self):
+        labels = np.array(
+            [[0, UNKNOWN, 3], [DIVERGENT, 12, UNKNOWN], [1, DIVERGENT, 0], [2, 2, 2]],
+            dtype=np.int32,
+        )
+        grid = BasinGrid(4, 3, labels, IterationStats())
+        want = ["# rows are iy = 0..ny-1 (bottom to top), columns ix = 0..nx-1"]
+        want.extend(",".join(str(int(v)) for v in labels[:, iy]) for iy in range(3))
+        assert labels_csv(grid) == "\n".join(want) + "\n"
+        assert labels_csv(grid).splitlines()[2] == "-1,12,-2,2"
+
 
 class TestFractions:
     def test_fractions_sum_to_one(self, pp, pp_registry):

@@ -24,7 +24,13 @@ from srklab import (
     trace_unstable,
 )
 from srklab.cli import EXIT_CONFIG, EXIT_OK, main
-from srklab.manifolds import DEFAULT_MAX_GAP, RefinementStats, _newton_preimage, _reiterate
+from srklab.manifolds import (
+    DEFAULT_MAX_GAP,
+    RefinementStats,
+    _newton_preimage,
+    _reiterate,
+    curves_to_csv,
+)
 
 CLIP = Rect(-1.0, 2.5, -1.5, 2.0)
 
@@ -360,3 +366,21 @@ class TestDetectTangencies:
             ]
             assert near, f"{name}: no tangential hit at (1, 0)"
             assert all(h.curvature_sign > 0 for h in near)
+
+
+class TestCurvesCsv:
+    @staticmethod
+    def reference(curves):
+        lines = ["branch_id,point_index,x,y"]
+        for branch, curve in enumerate(curves):
+            for i, (x, y) in enumerate(curve.points):
+                lines.append(f"{branch},{i},{float(x)!r},{float(y)!r}")
+        return "\n".join(lines) + "\n"
+
+    def test_matches_per_row_formatting(self, pp):
+        signed = synthetic_curve(np.array([[-0.0, 0.0], [0.1, -0.0], [np.inf, np.nan]]))
+        empty = synthetic_curve(np.zeros((0, 2)))
+        traced = trace_unstable(pp, 8, CLIP)
+        for curves in ([signed, empty, traced], [empty], []):
+            assert curves_to_csv(curves) == self.reference(curves)
+        assert curves_to_csv([signed]).splitlines()[1:3] == ["0,0,-0.0,0.0", "0,1,0.1,-0.0"]

@@ -17,6 +17,7 @@ from srklab import (
     ItineraryInvalidError,
     NoConvergenceError,
     NotMinimalError,
+    OrbitPoints,
     Point2,
     Region,
     SingularJacobianError,
@@ -42,6 +43,20 @@ def _itinerary(params, points):
     regions = [region_of(params, p.y) for p in points]
     want = [Region.UPPER] + [Region.LOWER] * (len(points) - 1)
     return [(j, r) for j, (r, w) in enumerate(zip(regions, want)) if r is not w]
+
+
+def reference_csv(orbits):
+    """The orbit CSV formatted row by row, each value by its own ``repr``."""
+    lines = ["k,period,branch,j,x_j,y_j,trace,det,stability,residual"]
+    for orbit in orbits:
+        branch = orbit.branch.value if orbit.branch is not None else ""
+        for j, p in enumerate(orbit.points):
+            lines.append(
+                f"{orbit.k},{orbit.period},{branch},{j},{p.x!r},{p.y!r},"
+                f"{orbit.trace!r},{orbit.det!r},{orbit.stability.value},"
+                f"{orbit.residual!r}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 class TestQuadratic:
@@ -591,25 +606,45 @@ class TestOrbitCsv:
                 assert got.x == want.x and got.y == want.y
 
     def test_matches_per_row_formatting(self, pp):
-        def reference(orbits):
-            lines = ["k,period,branch,j,x_j,y_j,trace,det,stability,residual"]
-            for orbit in orbits:
-                branch = orbit.branch.value if orbit.branch is not None else ""
-                for j, p in enumerate(orbit.points):
-                    lines.append(
-                        f"{orbit.k},{orbit.period},{branch},{j},{p.x!r},{p.y!r},"
-                        f"{orbit.trace!r},{orbit.det!r},{orbit.stability.value},"
-                        f"{orbit.residual!r}"
-                    )
-            return "\n".join(lines) + "\n"
-
         scanned = scan_srk(pp, 0, 60).orbits
         assert sum(o.method == "newton" for o in scanned) == 3
         bare = newton_periodic(pp, Point2(0.512, 1.0), 4)
         assert bare.branch is None
         orbits = [*scanned, bare]
-        assert orbits_to_csv(orbits) == reference(orbits)
-        assert orbits_to_csv([]) == reference([])
+        assert orbits_to_csv(orbits) == reference_csv(orbits)
+        assert orbits_to_csv([]) == reference_csv([])
+
+    @pytest.mark.parametrize("case", ["pp", "np_case"])
+    def test_matches_per_row_formatting_large_k(self, case, request):
+        # Out to k = 400 most coordinates repeat across orbits.
+        orbits = scan_srk(request.getfixturevalue(case), 0, 400).orbits
+        xs = [x for o in orbits for x in o.points.xs]
+        assert len(set(xs)) < len(xs) / 2
+        assert orbits_to_csv(orbits) == reference_csv(orbits)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ((0.0, -0.0), (-0.0, 0.0)),
+            ((-0.0, 0.0, -0.0), (0.0, 0.0, -0.0)),
+            ((math.nan, math.inf, -math.inf), (-math.inf, math.nan, math.nan)),
+            ((np.float64(0.5), 0.5), (0.5, np.float64(0.5))),
+            ((0.5, np.float64(0.5), 0.5), (np.float64(-0.0), -0.0, 1)),
+        ],
+    )
+    def test_repeated_values_format_by_type_and_sign(self, pp, columns):
+        base = scan_srk(pp, 1, 1).orbits[0]
+        orbit = dataclasses.replace(base, points=OrbitPoints(*columns))
+        # The pair's second orbit repeats the first one's values with
+        # every zero's sign flipped and each column reversed.
+        flipped = tuple(
+            tuple(-v if v == 0 else v for v in reversed(col)) for col in columns
+        )
+        odd = dataclasses.replace(
+            base, points=OrbitPoints(*flipped), residual=math.nan, trace=math.inf, det=-0.0
+        )
+        for orbits in ([orbit], [orbit, odd], [odd, orbit]):
+            assert orbits_to_csv(orbits) == reference_csv(orbits)
 
     def test_header_enforced(self):
         with pytest.raises(ValueError):
