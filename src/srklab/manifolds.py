@@ -1,13 +1,17 @@
 """Growing the one-dimensional invariant manifolds of the origin.
 
 The unstable manifold is grown by mapping a fundamental segment of the
-local unstable axis forward.  The stable set is grown backwards as a
-preimage tree, branching over the analytic inverses of the two map pieces
-and a Newton inverse inside the blend strip (the map is non-invertible,
-so the stable set has several branches).  Both are refined by one loop,
-``_refine``: it bisects the straight seed segment wherever a curve gap or
-turning angle exceeds tolerance and maps each midpoint through the known
-stages to the curve.  ``_finish`` clips and measures both.
+local unstable axis forward.  Each generation is stepped once from the
+one before it: its seeds that the previous generation also had take
+their images from there, and only new midpoints walk from generation 0.
+The stable set is grown backwards as a preimage tree, branching over the
+analytic inverses of the two map pieces and a Newton inverse inside the
+blend strip (the map is non-invertible, so the stable set has several
+branches); the blend inverse runs as one masked Newton over all points
+of a tree level.  Both are refined by one loop, ``_refine``: it bisects
+the straight seed segment wherever a curve gap or turning angle exceeds
+tolerance and maps each midpoint through the known stages to the curve.
+``_finish`` clips and measures both.
 
 Tangential touches of the x-axis are located on the traced curve and
 sharpened by golden-section search on the seed parameter.
@@ -21,15 +25,13 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateCoefficientsError, SingularJacobianError
+from .errors import DegenerateCoefficientsError
 from .mapcore import (
     Point2,
     Rect,
-    Region,
     eval_map,
     eval_map_arrays,
-    jacobian,
-    region_of,
+    jacobian_arrays,
 )
 from .params import MapParams
 
@@ -128,26 +130,86 @@ def invert_return(params: MapParams, q: Point2) -> Point2:
     return Point2((q.y - params.d2 * u - params.d5 * u * u) / params.d1, params.y_star + u)
 
 
+def _blend_newton(
+    params: MapParams, q: Point2, guess: Point2
+) -> tuple[Point2, np.ndarray, np.ndarray]:
+    """Newton on f(p) = q from parallel guess arrays; returns (points, iters, residuals).
+
+    Every row runs the one-point Newton, float operation for float
+    operation, for at most 30 steps.  At each step a row:
+    - stops when its residual max(|f(p).x - q.x|, |f(p).y - q.y|) is at
+      most 1e-10, taken in Python ``max`` order (a NaN first term gives
+      NaN, a NaN second term is passed over);
+    - stops where ``Jacobian2.solve`` rejects its Jacobian;
+    - else steps, and stops with residual inf once p is not finite.
+    Overflow gives inf without a warning, as it does for Python floats.
+    """
+    x = np.array(guess.x, dtype=float)
+    y = np.array(guess.y, dtype=float)
+    iters = np.full(x.size, _BLEND_NEWTON_MAX_ITER)
+    res = np.empty(x.size)
+    live = np.arange(x.size)
+    with np.errstate(all="ignore"):
+        for step in range(_BLEND_NEWTON_MAX_ITER + 1):
+            px, py = x[live], y[live]
+            ix, iy = eval_map_arrays(params, px, py)
+            rx, ry = q.x[live] - ix, q.y[live] - iy
+            ax, ay = np.abs(rx), np.abs(ry)
+            res[live] = r = np.where(ay > ax, ay, ax)
+            if step == _BLEND_NEWTON_MAX_ITER:
+                break
+            go = ~(r <= _BLEND_NEWTON_TOL)
+            iters[live[~go]] = step
+            live, px, py, rx, ry = (a[go] for a in (live, px, py, rx, ry))
+            ok, dx, dy = jacobian_arrays(params, px, py).solve_arrays(rx, ry)
+            iters[live[~ok]] = step
+            live = live[ok]
+            x[live] = px[ok] + dx
+            y[live] = py[ok] + dy
+            finite = np.isfinite(x[live]) & np.isfinite(y[live])
+            iters[live[~finite]] = step + 1
+            res[live[~finite]] = math.inf
+            live = live[finite]
+            if live.size == 0:
+                break
+    return Point2(x, y), iters, res
+
+
+def _blend_preimages(
+    params: MapParams, q: Point2, guesses: list[tuple[Point2, np.ndarray]]
+) -> np.ndarray:
+    """Preimages inside the blend strip of the points q (parallel arrays).
+
+    Each (guess, rows) pair is tried in list order on the marked rows that
+    no earlier guess has solved: a row is solved by the point its Newton
+    reaches when the residual is at most 1e-10 and the point lies strictly
+    inside the strip.  Returns an (n, 2) array, NaN on unsolved rows.
+    """
+    out = np.full((q.x.size, 2), np.nan)
+    todo = np.ones(q.x.size, dtype=bool)
+    for guess, rows in guesses:
+        idx = np.flatnonzero(todo & rows)
+        if idx.size == 0:
+            continue
+        p, _, res = _blend_newton(
+            params, Point2(q.x[idx], q.y[idx]), Point2(guess.x[idx], guess.y[idx])
+        )
+        solved = (res <= _BLEND_NEWTON_TOL) & (p.y > params.h0) & (p.y < params.h1)
+        out[idx[solved]] = np.column_stack(p)[solved]
+        todo[idx[solved]] = False
+    return out
+
+
+def _one_row(p) -> Point2:
+    return Point2(np.array([float(p[0])]), np.array([float(p[1])]))
+
+
 def _newton_preimage(
     params: MapParams, q: Point2, guess: Point2
 ) -> tuple[Point2, int, float]:
-    """2D Newton on f(p) - q from one guess; returns (point, iters, residual)."""
-    p = Point2(float(guess[0]), float(guess[1]))
-    img = eval_map(params, p)
-    res = max(abs(img.x - q.x), abs(img.y - q.y))
-    for iteration in range(_BLEND_NEWTON_MAX_ITER):
-        if res <= _BLEND_NEWTON_TOL:
-            return p, iteration, res
-        try:
-            dx, dy = jacobian(params, p).solve(q.x - img.x, q.y - img.y)
-        except SingularJacobianError:
-            return p, iteration, res
-        p = Point2(p.x + dx, p.y + dy)
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            return p, iteration + 1, math.inf
-        img = eval_map(params, p)
-        res = max(abs(img.x - q.x), abs(img.y - q.y))
-    return p, _BLEND_NEWTON_MAX_ITER, res
+    """``_blend_newton`` for one point; returns (point, iters, residual)."""
+    p, iters, res = _blend_newton(params, _one_row(q), _one_row(guess))
+    return Point2(float(p.x[0]), float(p.y[0])), int(iters[0]), float(res[0])
 
 
 def invert_blend(params: MapParams, q: Point2, guesses: list[Point2]) -> Point2 | None:
@@ -156,12 +218,9 @@ def invert_blend(params: MapParams, q: Point2, guesses: list[Point2]) -> Point2 
     Returns the point reached from the first guess whose residual is at
     most 1e-10 and whose point lies strictly inside the strip, or None.
     """
-    for guess in guesses:
-        p, _, res = _newton_preimage(params, q, guess)
-        # A NaN residual fails the test; a residual within it has a finite p.
-        if res <= _BLEND_NEWTON_TOL and region_of(params, p.y) is Region.BLEND:
-            return p
-    return None
+    every = np.ones(1, dtype=bool)
+    out = _blend_preimages(params, _one_row(q), [(_one_row(g), every) for g in guesses])[0]
+    return None if np.isnan(out).any() else Point2(float(out[0]), float(out[1]))
 
 
 # -- one refinement engine for both manifolds ----------------------------------
@@ -281,26 +340,51 @@ def _finish(
 # -- unstable manifold --------------------------------------------------------
 
 
-def _iterate_seeds(
-    params: MapParams, ts: np.ndarray, generation: int
-) -> np.ndarray:
-    """f^generation applied to the axis seeds (0, t), vectorized.
+def _step_seeds(
+    params: MapParams, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One map step of seed images given as parallel coordinate arrays.
 
-    Points whose max-norm exceeds a large freeze radius stop being
-    iterated (their last finite value is kept); they lie far outside any
-    reasonable clip window.
+    Points whose max-norm exceeds a large freeze radius, or that are not
+    finite, stop being iterated (their last value is kept); they lie far
+    outside any reasonable clip window.
     """
-    x = np.zeros_like(ts)
-    y = ts.astype(float)
+    alive = (np.abs(x) <= _FREEZE_RADIUS) & (np.abs(y) <= _FREEZE_RADIUS)
+    nx, ny = eval_map_arrays(params, x, y)
+    return np.where(alive, nx, x), np.where(alive, ny, y)
+
+
+def _iterate_seeds(params: MapParams, ts: np.ndarray, generation: int) -> np.ndarray:
+    """f^generation applied to the axis seeds (0, t), vectorized."""
+    x, y = np.zeros_like(ts), ts
     for _ in range(generation):
-        alive = (np.abs(x) <= _FREEZE_RADIUS) & (np.abs(y) <= _FREEZE_RADIUS)
-        alive &= np.isfinite(x) & np.isfinite(y)
-        if not alive.any():
-            break
-        nx, ny = eval_map_arrays(params, x, y)
-        x = np.where(alive, nx, x)
-        y = np.where(alive, ny, y)
+        x, y = _step_seeds(params, x, y)
     return np.column_stack((x, y))
+
+
+def _seed_images(
+    params: MapParams,
+    generation: int,
+    pool: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ts: np.ndarray,
+) -> np.ndarray:
+    """f^generation of the axis seeds (0, t), taken from ``pool`` where it can.
+
+    ``pool`` holds seed parameters, their argsort and their images at this
+    generation.  A t found there with the same bits has its pooled image;
+    the rest walk from generation 0.  The pool may run either way in t.
+    """
+    pool_t, order, pool_pts = pool
+    out = np.empty((ts.size, 2))
+    miss = np.ones(ts.size, dtype=bool)
+    if pool_t.size:
+        at = order[np.searchsorted(pool_t, ts, sorter=order).clip(max=pool_t.size - 1)]
+        # +0.0 and -0.0 are equal but seed images of different sign.
+        miss = (pool_t[at] != ts) | (np.signbit(pool_t[at]) != np.signbit(ts))
+        out[~miss] = pool_pts[at[~miss]]
+    if miss.any():
+        out[miss] = _iterate_seeds(params, ts[miss], generation)
+    return out
 
 
 def trace_unstable(
@@ -319,7 +403,9 @@ def trace_unstable(
     and both half-axes grow.  Generation g is the image under f^g of 33
     seeds on that segment, refined by ``_refine``; consecutive generations
     concatenate into one polyline (generation g ends where generation g+1
-    begins).  No generation is started once the budget has run out.
+    begins).  Generation g - 1's seeds, stepped once, give generation g
+    the images of the seeds they share; only the others walk from
+    generation 0.  No generation is started once the budget has run out.
     """
     if n_images < 1:
         raise ValueError("n_images must be >= 1")
@@ -333,12 +419,16 @@ def trace_unstable(
 
     pieces: list[tuple[np.ndarray, ...]] = []
     used = 0
+    ts, pts = np.empty(0), np.empty((0, 2))
     for g in range(n_images + 1):
+        # The previous generation's seeds, stepped once, serve this one.
+        stepped = np.column_stack(_step_seeds(params, pts[:, 0], pts[:, 1]))
+        images = partial(_seed_images, params, g, (ts, np.argsort(ts), stepped))
         left = point_budget - used
         ts = np.linspace(t_lo, t_hi, 33)[: _allow(33, left, stats)]
         ts, pts = _refine(
-            [ts, _iterate_seeds(params, ts, g)],
-            lambda chain, idx, mids: [_iterate_seeds(params, mids, g)],
+            [ts, images(ts)],
+            lambda chain, idx, mids: [images(mids)],
             window, max_gap, max_angle, left, stats,
         )
         pieces.append((ts, pts, np.full(ts.size, g, dtype=int)))
@@ -374,16 +464,14 @@ def _preimage_points(
     branch.  Invalid candidates are returned as NaN.
     """
     if branch == "blend":
-        out = np.full((pts.shape[0], 2), np.nan)
-        for i in range(pts.shape[0]):
-            q = Point2(float(pts[i, 0]), float(pts[i, 1]))
-            guesses = [invert_saddle(params, q), invert_return(params, q)]
-            if prev is not None and np.isfinite(prev[i]).all():
-                guesses.insert(0, Point2(float(prev[i, 0]), float(prev[i, 1])))
-            p = invert_blend(params, q, guesses)
-            if p is not None:
-                out[i] = p
-        return out
+        if pts.shape[0] == 0:
+            return np.full((0, 2), np.nan)
+        q = Point2(pts[:, 0], pts[:, 1])
+        every = np.ones(pts.shape[0], dtype=bool)
+        guesses = [(invert_saddle(params, q), every), (invert_return(params, q), every)]
+        if prev is not None:
+            guesses.insert(0, (Point2(prev[:, 0], prev[:, 1]), np.isfinite(prev).all(axis=1)))
+        return _blend_preimages(params, q, guesses)
     if branch == "saddle":
         out = np.column_stack(invert_saddle(params, Point2(pts[:, 0], pts[:, 1])))
         in_piece = out[:, 1] <= params.h0

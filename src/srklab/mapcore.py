@@ -5,7 +5,8 @@ Each formula of the map is written here once.  The piece functions
 operators, so they take a ``Point2`` of floats or of numpy arrays alike.
 ``eval_map`` and ``eval_map_arrays`` select among the same piece
 functions, one point at a time or by region masks, so rasters and
-manifold tracing can batch-iterate large point sets with scalar results.
+manifold tracing can batch-iterate large point sets with scalar results;
+``jacobian`` and ``jacobian_arrays`` do the same for the Jacobian.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ __all__ = [
     "jacobian",
     "saddle_power",
     "eval_map_arrays",
+    "jacobian_arrays",
 ]
 
 _RESONANCE_TOL = 1e-12
@@ -83,6 +85,21 @@ class Jacobian2(NamedTuple):
         det = self.det
         if not (math.isfinite(det) and abs(det) >= _SINGULAR_TOL):
             raise SingularJacobianError(at_iterate=None)
+        return self._cramer(det, rx, ry)
+
+    def solve_arrays(
+        self, rx: np.ndarray, ry: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``solve`` for a ``Jacobian2`` of arrays, row by row.
+
+        Returns ``(ok, dx, dy)``: ``ok`` is False on the rows whose matrix
+        ``solve`` rejects, and dx, dy are the steps of the other rows only.
+        """
+        det = self.det
+        ok = np.isfinite(det) & (np.abs(det) >= _SINGULAR_TOL)
+        return (ok, *Jacobian2(*(c[ok] for c in self))._cramer(det[ok], rx[ok], ry[ok]))
+
+    def _cramer(self, det, rx, ry):
         return (self.d * rx - self.b * ry) / det, (self.a * ry - self.c * rx) / det
 
 
@@ -208,6 +225,11 @@ def jacobian(params: MapParams, p: Point2) -> Jacobian2:
         return _saddle_jacobian(params)
     if region is Region.UPPER:
         return _return_jacobian(params, p)
+    return _strip_jacobian(params, p)
+
+
+def _strip_jacobian(params: MapParams, p: Point2) -> Jacobian2:
+    """Jacobian of the blend inside the strip; floats or arrays alike."""
     r = blend_weight(params, p.y)
     dr = blend_weight_deriv(params, p.y)
     j = blend(r, _saddle_jacobian(params), _return_jacobian(params, p))
@@ -241,6 +263,12 @@ def saddle_power(params: MapParams, p: Point2, k: int) -> Point2:
     )
 
 
+def _region_masks(params: MapParams, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the points below and inside the strip, as ``region_of`` tags them."""
+    lower = y <= params.h0
+    return lower, ~(lower | (y >= params.h1))
+
+
 def eval_map_arrays(
     params: MapParams, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,8 +281,7 @@ def eval_map_arrays(
     p = Point2(x, y)
     p0 = eval_saddle(params, p)
     p1 = eval_return(params, p)
-    lower = y <= params.h0
-    in_strip = ~(lower | (y >= params.h1))
+    lower, in_strip = _region_masks(params, y)
     out_x = np.where(lower, p0.x, p1.x)
     out_y = np.where(lower, p0.y, p1.y)
     if in_strip.any():
@@ -262,3 +289,16 @@ def eval_map_arrays(
         out_x = np.where(in_strip, b.x, out_x)
         out_y = np.where(in_strip, b.y, out_y)
     return out_x, out_y
+
+
+def jacobian_arrays(params: MapParams, x: np.ndarray, y: np.ndarray) -> Jacobian2:
+    """Vectorized ``jacobian``: a ``Jacobian2`` of arrays over parallel
+    coordinate arrays, selected per point by region masks, so each entry
+    has the bits of the scalar path."""
+    p = Point2(x, y)
+    lower, in_strip = _region_masks(params, y)
+    pieces = zip(_saddle_jacobian(params), _return_jacobian(params, p))
+    out = [np.where(lower, a, b) for a, b in pieces]
+    if in_strip.any():
+        out = [np.where(in_strip, a, b) for a, b in zip(_strip_jacobian(params, p), out)]
+    return Jacobian2(*out)
