@@ -38,6 +38,7 @@ __all__ = [
     "write_ppm",
     "legend_csv",
     "labels_csv",
+    "basin_fractions",
 ]
 
 UNKNOWN = -1
@@ -59,6 +60,9 @@ _CYCLE_CLEARANCE = 10.0
 
 # Upper bound on the cells of one proximity prefilter table (1 MiB of bools).
 _TABLE_CELLS = 2**20
+# Entries of the component-pair lookup that name no single registry point.
+_AMBIGUOUS = -1  # two or more registry points share the pair
+_NO_POINT = -2  # no registry point has the pair
 
 
 @dataclass(frozen=True)
@@ -175,19 +179,27 @@ class BasinGrid:
 
 
 class _AxisTable:
-    """Occupancy table of one axis: the proximity prefilter.
+    """Occupancy table of one axis, split into components: the proximity prefilter.
 
     The axis is cut into cells of width h from ``lo``; a cell is marked when
     it lies within one cell of [c - bound, c + bound] for some registry
     coordinate c.  Every index is computed as ``(t - lo) * inv_h``, which is
     monotone in t and off by far less than a cell (h is at least 2**20 ulps
-    of the largest coordinate), so the one-cell margin makes ``near`` true
-    wherever |v - c| <= bound for some c: the table flags a superset of the
-    KD-tree's hits, never a miss.  ``coords`` need not be sorted.  The
+    of the largest coordinate), so the one-cell margin marks the cell of
+    every v with |v - c| <= bound for some c: the table flags a superset of
+    the KD-tree's hits, never a miss.  ``coords`` need not be sorted.  The
     first and last cells stay unmarked, so clipped out-of-range values read
     False.  At most _TABLE_CELLS + 8 cells, whatever ``bound`` is; a bound
     so near the float limit that the cell indices would overflow gives a
     one-cell table that flags every finite value.
+
+    Each run of marked cells is a component; ``starts`` holds the first
+    cell of each run, in order.  A cell's component is the number of run
+    starts at or before it (``component``), counted from 1, and ``comp``
+    holds the component of each registry coordinate.  Since the marked
+    cells around c form one interval, every v within ``bound`` of c lies in
+    c's component.  The one-cell table is one component holding every
+    coordinate.
     """
 
     def __init__(self, coords: np.ndarray, bound: float) -> None:
@@ -199,20 +211,93 @@ class _AxisTable:
             fits = np.isfinite(high + 4 * h - self.lo)
         if not fits:
             self.lo, self.inv_h, self.cells = 0.0, 0.0, np.ones(1, dtype=bool)
-            return
-        self.inv_h = 1.0 / h
-        size = int((high - low) * self.inv_h) + 8
-        first = np.floor((coords - bound - self.lo) * self.inv_h).astype(np.intp) - 1
-        last = np.floor((coords + bound - self.lo) * self.inv_h).astype(np.intp) + 1
-        count = np.zeros(size, dtype=np.int32)
-        np.add.at(count, first, 1)
-        np.add.at(count, last + 1, -1)
-        self.cells = np.cumsum(count, out=count) > 0
+            self.starts = np.zeros(1, dtype=np.intp)
+        else:
+            self.inv_h = 1.0 / h
+            size = int((high - low) * self.inv_h) + 8
+            first = np.floor((coords - bound - self.lo) * self.inv_h).astype(np.intp) - 1
+            last = np.floor((coords + bound - self.lo) * self.inv_h).astype(np.intp) + 1
+            count = np.zeros(size, dtype=np.int32)
+            np.add.at(count, first, 1)
+            np.add.at(count, last + 1, -1)
+            self.cells = np.cumsum(count, out=count) > 0
+            # Merge the marked intervals: one starts a new run when it begins
+            # past the cell after the furthest end of those before it.
+            order = np.argsort(first)
+            first, reach = first[order], np.maximum.accumulate(last[order])
+            self.starts = first[np.r_[True, first[1:] > reach[:-1] + 1]]
+        self.comp = self.component(self.cell(coords))
 
-    def near(self, v: np.ndarray) -> np.ndarray:
-        """Whether each finite v may lie within ``bound`` of a coordinate."""
-        index = np.clip((v - self.lo) * self.inv_h, 0, self.cells.size - 1)
-        return self.cells[index.astype(np.intp)]
+    def cell(self, v: np.ndarray) -> np.ndarray:
+        """Cell index of each finite v, clipped to the table."""
+        return np.clip((v - self.lo) * self.inv_h, 0, self.cells.size - 1).astype(np.intp)
+
+    def component(self, cell: np.ndarray) -> np.ndarray:
+        """Component of each marked cell."""
+        return np.searchsorted(self.starts, cell, side="right")
+
+
+class _RegistryLookup:
+    """The registry point within ``bound`` of each point, in the max norm.
+
+    ``hits`` answers what ``cKDTree(reg_pts).query(..., k=1, p=np.inf,
+    distance_upper_bound=bound)`` answers, row by row.  One occupancy
+    table lookup per axis (``_AxisTable``) drops the points that are not
+    near a registry coordinate on both axes.  A survivor's components on
+    the two axes form a pair key, looked up in the sorted keys of the
+    registry points' pairs.  Any registry point within ``bound`` of the
+    survivor shares its pair, so a pair that holds no point is a miss, and
+    a pair that holds one point q is a hit exactly when
+    max(|x - qx|, |y - qy|) < bound (strict, as the tree's bound is).
+    Only survivors in pairs that two or more points share go to the
+    KD-tree, which settles ties.
+    """
+
+    def __init__(self, reg_pts: np.ndarray, bound: float) -> None:
+        self.tree = cKDTree(reg_pts)
+        self.bound = bound
+        self.reg_x, self.reg_y = reg_pts[:, 0].copy(), reg_pts[:, 1].copy()
+        self.table_x = _AxisTable(self.reg_x, bound)
+        self.table_y = _AxisTable(self.reg_y, bound)
+        # Pair keys, sorted, and the one registry point of each (or
+        # _AMBIGUOUS); a trailing key above every pair key holds _NO_POINT.
+        self.span = self.table_y.starts.size + 1
+        keys, first, count = np.unique(
+            self.table_x.comp * self.span + self.table_y.comp,
+            return_index=True,
+            return_counts=True,
+        )
+        self.keys = np.append(keys, np.iinfo(np.int64).max)
+        self.pair_point = np.append(np.where(count == 1, first, _AMBIGUOUS), _NO_POINT)
+
+    def hits(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the finite points (x, y) within ``bound`` of a registry
+        point, ascending, and the index of that registry point."""
+        table_x, table_y = self.table_x, self.table_y
+        cell_x, cell_y = table_x.cell(x), table_y.cell(y)
+        maybe = np.flatnonzero(table_x.cells[cell_x] & table_y.cells[cell_y])
+        key = table_x.component(cell_x[maybe]) * self.span + table_y.component(cell_y[maybe])
+        pos = np.searchsorted(self.keys, key)
+        point = self.pair_point[pos]
+        # A key missing from ``keys`` reads another pair's entry.  A single
+        # point there lies farther than bound (it would share the pair
+        # otherwise), so the distance test rejects it; a shared entry goes
+        # to the tree only when its key matches.
+        q = np.maximum(point, 0)
+        dist = np.maximum(np.abs(x[maybe] - self.reg_x[q]), np.abs(y[maybe] - self.reg_y[q]))
+        found = (point >= 0) & (dist < self.bound)
+        tied = np.flatnonzero(point == _AMBIGUOUS)
+        tied = tied[self.keys[pos[tied]] == key[tied]]
+        if tied.size:
+            at = maybe[tied]
+            tree_dist, point[tied] = self.tree.query(
+                np.column_stack((x[at], y[at])),
+                k=1,
+                p=np.inf,
+                distance_upper_bound=self.bound,
+            )
+            found[tied] = np.isfinite(tree_dist)
+        return maybe[found], point[found]
 
 
 def _return_periods(params: MapParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -266,18 +351,16 @@ def classify_batch(
     the step they stopped at as their count; when ``cycle_cells`` is
     given, it is incremented by the number of such cells per period.
 
-    Each step, the proximity test runs in two stages.  One occupancy
-    table lookup per axis (``_AxisTable``) drops the points that are not
-    near a registry coordinate on both axes; the KD-tree query on the
-    survivors decides.  The tables flag a superset of the query's hits,
-    and only those hits update a point's candidate attractor and run length.
+    Each step, ``_RegistryLookup.hits`` finds the registry point within
+    ``prox_tol`` (plus a relative 1e-12) of each running point: per-axis
+    occupancy tables, then one pair-key lookup, a strict distance test,
+    and the KD-tree only for pairs that two or more registry points share.
+    Only the hits update a point's candidate attractor and run length.
     """
     if len(registry) == 0:
         raise ValueError("registry must contain at least one attractor")
     reg_pts, owner, owner_period = registry.all_points()
-    tree = cKDTree(reg_pts)
-    bound = limits.prox_tol * (1.0 + 1e-12)
-    table_x, table_y = _AxisTable(reg_pts[:, 0], bound), _AxisTable(reg_pts[:, 1], bound)
+    lookup = _RegistryLookup(reg_pts, limits.prox_tol * (1.0 + 1e-12))
     radius = limits.escape_radius
     clearance = _CYCLE_CLEARANCE * limits.prox_tol
     cycles: list[tuple[np.ndarray, bool]] = []  # polished cycles, and whether cells retire on them
@@ -310,18 +393,8 @@ def classify_batch(
             retire(escaped, DIVERGENT, step)
 
     def check_proximity(step: int) -> None:
-        """Update candidate/run at the tree's hits; retire points that completed a period."""
-        maybe = np.flatnonzero(table_x.near(x) & table_y.near(y))
-        hit = nearest = np.empty(0, dtype=np.intp)
-        if maybe.size:
-            dist, nearest = tree.query(
-                np.column_stack((x[maybe], y[maybe])),
-                k=1,
-                p=np.inf,
-                distance_upper_bound=bound,
-            )
-            found = np.isfinite(dist)
-            hit, nearest = maybe[found], nearest[found]
+        """Update candidate/run at the hits; retire points that completed a period."""
+        hit, nearest = lookup.hits(x, y)
         att = owner[nearest]
         hit_run = np.where(att == candidate[hit], run[hit] + 1, 1)
         candidate.fill(-1)

@@ -279,7 +279,7 @@ class TestAxisTable:
         ])
         exact = np.abs(values[:, None] - coords).min(axis=1) <= bound
         assert exact.any()
-        assert np.all(table.near(values)[exact])
+        assert np.all(table.cells[table.cell(values)][exact])
 
     def test_tolerance_near_float_limit(self, pp, pp_registry):
         # Past about 5e307 the cell indices would overflow and the table flags
@@ -293,7 +293,7 @@ class TestAxisTable:
         want = classify_batch(pp, pp_registry, pts, ClassifyLimits(max_iter=50, prox_tol=1e300))
         for prox_tol in (1e307, 5e307, 1e308, 1.7e308):
             table = basins._AxisTable(coords, prox_tol * (1.0 + 1e-12))
-            assert np.all(table.near(values))
+            assert np.all(table.cells[table.cell(values)])
             got = classify_batch(pp, pp_registry, pts, ClassifyLimits(max_iter=50, prox_tol=prox_tol))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -302,7 +302,7 @@ class TestAxisTable:
         coords = np.sort(np.random.default_rng(3).uniform(-0.8, 1.5, 200))
         table = basins._AxisTable(coords, 1e-5)
         values = np.random.default_rng(4).uniform(-10.0, 10.0, 10000)
-        assert table.near(values).mean() < 0.01
+        assert table.cells[table.cell(values)].mean() < 0.01
 
 
 class TestRaster:

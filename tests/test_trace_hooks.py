@@ -55,12 +55,14 @@ def test_install_wraps_existing_names_and_uninstall_restores_them(spans):
             ("srklab.basins", "cKDTree"),
         } <= patched
 
-        # A traced raster records its one batch and its proximity queries.
+        # A traced raster records its one batch and its proximity queries.  At
+        # this prox_tol, pp's k <= 5 registry points (0.082 apart at the
+        # closest) share component pairs, so the KD-tree is queried.
         pp = EXAMPLE_CASES["pp"]
         registry = AttractorRegistry.from_orbits(pp, scan_srk(pp, 0, 5).orbits)
         with tracer.span("basins.raster") as raster_rec:
             raster(pp, registry, Rect(-0.5, 1.5, -0.5, 1.5), 4, 4,
-                   ClassifyLimits(max_iter=200))
+                   ClassifyLimits(max_iter=200, prox_tol=0.05))
         batches = [rec for rec in tracer.spans if rec["name"] == "basins.classify_batch"]
         assert len(batches) == 1
         assert batches[0]["parent"] == raster_rec["id"]
