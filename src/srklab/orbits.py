@@ -25,8 +25,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, chain, count, repeat
-from operator import mul
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
@@ -91,8 +90,19 @@ class RootPair:
         return self.u_minus if branch is Branch.MINUS else self.u_plus
 
 
+_FLOAT = frozenset({float})
+
+
+def _exact_floats(column: Iterable[float]) -> tuple[float, ...]:
+    """``column`` as a tuple of Python floats (``np.float64`` and ``int``
+    values converted, so every coordinate formats as a plain float)."""
+    column = tuple(column)
+    return column if _FLOAT.issuperset(map(type, column)) else tuple(map(float, column))
+
+
 class OrbitPoints(Sequence):
-    """An orbit's points as two coordinate tuples, ``xs`` and ``ys``.
+    """An orbit's points as two coordinate tuples of Python floats, ``xs``
+    and ``ys``.
 
     A ``Point2`` is made only when a point is read; a slice reads as a
     tuple of them.  Equal to (and hashes as) the tuple of its points, so
@@ -101,9 +111,9 @@ class OrbitPoints(Sequence):
 
     __slots__ = ("xs", "ys")
 
-    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
-        self.xs = xs
-        self.ys = ys
+    def __init__(self, xs: Iterable[float], ys: Iterable[float]) -> None:
+        self.xs = _exact_floats(xs)
+        self.ys = _exact_floats(ys)
 
     @classmethod
     def of(cls, points: Sequence[Point2]) -> "OrbitPoints":
@@ -236,58 +246,38 @@ def _point_above_strip(params: MapParams, k: int, u: float) -> Point2:
 
 
 class _Walks(NamedTuple):
-    """The batched walk's result, one entry per candidate row: its k, its
-    above-strip point, the return image ``first`` of that point, its
-    latest point ``last`` (point k when k >= 1), its points outside their
-    required region (rows without any are absent), and its period
-    Jacobian's trace and det."""
+    """The batched walk's result: the candidates' ks, the record ``xs``,
+    ``ys`` of every point walked (row j holds point j of each candidate;
+    a candidate's column is valid down to row k), each candidate's points
+    outside their required region (candidates without any are absent),
+    and its period Jacobian's trace and det."""
 
     ks: Sequence[int]
-    ups: Sequence[Point2]
-    first: list[list[float]]
-    last: list[list[float]]
+    xs: np.ndarray
+    ys: np.ndarray
     violations: dict[int, list[tuple[int, Region]]]
     trace: list[float]
     det: list[float]
 
+    def points(self, row: int, count: int | None = None) -> OrbitPoints:
+        """The first ``count`` recorded points of candidate ``row``; all
+        k + 1 of its orbit by default."""
+        stop = self.ks[row] + 1 if count is None else count
+        return OrbitPoints(self.xs[:stop, row].tolist(), self.ys[:stop, row].tolist())
+
     def residual(self, params: MapParams, row: int) -> float:
         """The closing residual of an orbit whose itinerary holds.  In pure
-        regions the map is the piece walked: one call closes the orbit."""
-        up = self.ups[row]
-        closing = eval_map(params, Point2(*self.last[row]) if self.ks[row] else up)
-        return max(abs(closing.x - up.x), abs(closing.y - up.y))
+        regions the map is the piece walked: one call on point k closes
+        the orbit."""
+        k = self.ks[row]
+        closing = eval_map(params, Point2(self.xs.item(k, row), self.ys.item(k, row)))
+        return max(abs(closing.x - self.xs.item(0, row)), abs(closing.y - self.ys.item(0, row)))
 
-    def heights(self, params: MapParams, row: int) -> Iterable[float]:
-        """The y of the row's points below the strip, by the walk's
-        sequential products."""
-        k, y1 = self.ks[row], self.first[row][1]
-        return accumulate(repeat(params.sigma, k - 1), mul, initial=y1) if k else ()
-
-    def itinerary_violations(self, params: MapParams, row: int) -> list[tuple[int, Region]]:
-        """The row's points outside their required region, as (step, Region)."""
-        region = region_of(params, self.ups[row].y)
-        out = [] if region is Region.UPPER else [(0, region)]
-        out.extend(
-            (j, region_of(params, y))
-            for j, y in enumerate(self.heights(params, row), 1)
-            if not y <= params.h0
-        )
-        return out
-
-    def points(self, params: MapParams, row: int) -> OrbitPoints:
-        """The row's orbit points: the above-strip point, then ``first``
-        and its saddle images by the walk's sequential products."""
-        k, up = self.ks[row], self.ups[row]
-        xs = accumulate(repeat(params.lam, k - 1), mul, initial=self.first[row][0]) if k else ()
-        return OrbitPoints((up.x, *xs), (up.y, *self.heights(params, row)))
-
-    def orbit(
-        self, params: MapParams, row: int, branch: Branch | None, residual: float
-    ) -> SRkOrbit:
+    def orbit(self, row: int, branch: Branch | None, residual: float) -> SRkOrbit:
         tau, delta = self.trace[row], self.det[row]
         return SRkOrbit(
             k=self.ks[row],
-            points=self.points(params, row),
+            points=self.points(row),
             branch=branch,
             residual=residual,
             trace=tau,
@@ -308,57 +298,52 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
     gives it, after the return Jacobian at the above-strip point.  So
     every value equals the one-point walk and ``orbit_jacobian`` over the
     points bit for bit; the 0.0 terms keep their signed zeros and NaNs.
-    The walk keeps O(candidates) state: each row's latest point and
-    Jacobian product, not its points.  The itinerary is decided from the
-    above-strip point and the last heights; only a row that may break it
-    is re-walked, by ``_Walks.itinerary_violations``, which lists the
-    points outside their region exactly.
+    Every point is recorded, (k_max + 1) x candidates x 16 bytes while
+    the scan runs, and the itinerary is checked on each: point 0 must lie
+    at or above h1, points 1..k at or below h0.
     """
     n = len(ks)
-    lam, sigma, h0, h1 = params.lam, params.sigma, params.h0, params.h1
-    up = Point2(*np.fromiter(chain.from_iterable(ups), float, 2 * n).reshape(n, 2).T)
-    # Rows x, y of each candidate's latest point, then rows a, b, d, c of
-    # its Jacobian product: reversed, each entry meets the one its 0.0
-    # term reads.  Step j updates the prefix in place, so a row keeps its
-    # values from its last step.
-    state = np.empty((6, n))
-    scale = np.array([[lam], [sigma], [lam], [lam], [sigma], [sigma]])
-    pt_scale, jac_scale = scale[:2], scale[2:]
+    k_max = ks[0] if n else 0
+    lam, sigma = params.lam, params.sigma
+    # Point j of every candidate is record[j]: its x row, then its y row.
+    record = np.empty((k_max + 1, 2, n))
+    xs, ys = record[:, 0], record[:, 1]
+    record[0] = np.fromiter(chain.from_iterable(ups), float, 2 * n).reshape(n, 2).T
+    up = Point2(xs[0], ys[0])
+    pt_scale = np.array([[lam], [sigma]])
+    # Rows a, b, d, c of each candidate's Jacobian product: reversed,
+    # each entry meets the one its 0.0 term reads.  Step j updates the
+    # prefix in place, so a row keeps its values from its last step.
+    jac = np.empty((4, n))
+    jac_scale = np.array([[lam], [lam], [sigma], [sigma]])
     with np.errstate(all="ignore"):
         # A candidate whose first point is not above the strip fails its
         # itinerary, so the return piece's values stand for every row.
-        state[0], state[1] = eval_return(params, up)
-        first = state[:2].T.tolist()
+        if k_max:
+            xs[1], ys[1] = eval_return(params, up)
         ja, jb, jc, jd = _return_jacobian(params, up).matmul(Jacobian2.identity())
-        state[2], state[3], state[4], state[5] = ja, jb, jd, jc
+        jac[0], jac[1], jac[2], jac[3] = ja, jb, jd, jc
         live = n
-        for j in range(1, (ks[0] if n else 0) + 1):
+        for j in range(1, k_max + 1):
             while ks[live - 1] < j:
                 live -= 1
-            pt, jac = state[:2, :live], state[2:, :live]
             if j > 1:
-                pt *= pt_scale
-            zero = jac[::-1] * 0.0
-            jac *= jac_scale
-            jac += zero
-        a, b, d, c = state[2:]
+                np.multiply(record[j - 1, :, :live], pt_scale, out=record[j, :, :live])
+            prefix = jac[:, :live]
+            zero = prefix[::-1] * 0.0
+            prefix *= jac_scale
+            prefix += zero
+        a, b, d, c = jac
         trace, det = (a + d).tolist(), (a * d - b * c).tolist()
-        # Each height below the strip is sigma times the one before, with
-        # |sigma| > 1, so the positive ones grow: the highest is yk or,
-        # when sigma < 0, y(k-1), and y(k-1) > h0 > 0 would round yk to
-        # at most sigma*h0.  Both tests fail on NaN; a row that fails
-        # either is re-walked exactly below.
-        yk = state[1]
-        fine = (up.y >= h1) & (yk <= h0)
-        if sigma < 0.0:
-            fine &= yk > sigma * h0
-        strayed = np.flatnonzero(~fine).tolist()
-    walks = _Walks(ks, ups, first, state[:2].T.tolist(), {}, trace, det)
-    for row in strayed:
-        violations = walks.itinerary_violations(params, row)
-        if violations:
-            walks.violations[row] = violations
-    return walks
+        # Both tests fail on NaN; rows past a candidate's k are masked.
+        stray = ~(ys <= params.h0)
+        stray[0] = ~(ys[0] >= params.h1)
+        stray[1:] &= np.arange(1, k_max + 1)[:, None] <= np.asarray(ks)
+    violations = {}
+    for row in np.flatnonzero(stray.any(axis=0)).tolist():
+        steps = np.flatnonzero(stray[:, row]).tolist()
+        violations[row] = [(j, region_of(params, ys.item(j, row))) for j in steps]
+    return _Walks(ks, xs, ys, violations, trace, det)
 
 
 def assemble_orbit(
@@ -381,7 +366,7 @@ def assemble_orbit(
     walks = _walk(params, [k], [_point_above_strip(params, k, u)])
     if walks.violations:
         raise ItineraryInvalidError(walks.violations[0])
-    return walks.orbit(params, 0, branch, walks.residual(params, 0))
+    return walks.orbit(0, branch, walks.residual(params, 0))
 
 
 def _cycle_and_residual(
@@ -501,14 +486,14 @@ def _same_orbit(a: SRkOrbit, b: SRkOrbit) -> bool:
     return False
 
 
-def _same_points(params: MapParams, prev: SRkOrbit, walks: _Walks, row: int) -> bool:
+def _same_points(prev: SRkOrbit, walks: _Walks, row: int) -> bool:
     """Whether walked ``row`` has exactly the points of ``prev``, an orbit
     of the same k.  A closed-form orbit's points follow from its first
     two, so those decide against another one."""
-    head = (walks.ups[row], tuple(walks.first[row]))[: walks.ks[row] + 1]
-    if prev.points[: len(head)] != head:
+    head = walks.points(row, min(walks.ks[row], 1) + 1)
+    if prev.points[: len(head)] != tuple(head):
         return False
-    return prev.method == "closed-form" or prev.points == walks.points(params, row)
+    return prev.method == "closed-form" or prev.points == walks.points(row)
 
 
 def _closed_form_record(
@@ -527,7 +512,7 @@ def _closed_form_record(
         if not all(region is Region.BLEND for _, region in violations):
             return ScanRecord(k, branch, "itinerary-invalid", None, str(err))
         try:
-            orbit = newton_periodic(params, walks.ups[row], k + 1)
+            orbit = newton_periodic(params, walks.points(row, 1)[0], k + 1)
         except (NoConvergenceError, SingularJacobianError, NotMinimalError, EscapeError) as nerr:
             return ScanRecord(k, branch, "newton-failed", None, str(nerr))
         for other in found:
@@ -540,11 +525,11 @@ def _closed_form_record(
     if not residual <= CLOSING_TOL:  # also flags NaN residuals
         detail = f"closing residual {residual:.3e}"
         return ScanRecord(k, branch, "precision-limited", None, detail)
-    if found and found[-1].k == k and _same_points(params, found[-1], walks, row):
+    if found and found[-1].k == k and _same_points(found[-1], walks, row):
         if roots.u_minus == roots.u_plus:
             return ScanRecord(k, branch, "duplicate", None, "double root")
         return ScanRecord(k, branch, "precision-limited", None, "same points as minus")
-    return ScanRecord(k, branch, "closed-form", walks.orbit(params, row, branch, residual))
+    return ScanRecord(k, branch, "closed-form", walks.orbit(row, branch, residual))
 
 
 def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
@@ -604,15 +589,14 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
 # -- CSV export -------------------------------------------------------------
 
 _CSV_HEADER = "k,period,branch,j,x_j,y_j,trace,det,stability,residual"
-_FLOAT = frozenset({float})
 
 
 class _ReprCache(dict):
     """``cache[x] == repr(x)`` for Python floats, each nonzero value
     formatted once.  Zeros are not stored: ``0.0`` and ``-0.0`` are equal
     keys that repr differently.  A stored float would also answer for an
-    equal ``np.float64`` or ``int``, so only columns of exact floats may
-    use it."""
+    equal ``np.float64`` or ``int``, so only exact floats may use it, as
+    ``OrbitPoints`` columns are."""
 
     __slots__ = ()
 
@@ -636,39 +620,48 @@ def orbits_to_csv(orbits: Iterable[SRkOrbit]) -> str:
         branch = orbit.branch.value if orbit.branch is not None else ""
         head = f"{orbit.k},{orbit.period},{branch},"
         tail = f",{orbit.trace!r},{orbit.det!r},{orbit.stability.value},{orbit.residual!r}\n"
-        xs, ys = orbit.points.xs, orbit.points.ys
-        fmt = cache.__getitem__ if _FLOAT.issuperset(map(type, chain(xs, ys))) else repr
-        parts.append("".join([
-            f"{head}{j},{x},{y}{tail}" for j, x, y in zip(count(), map(fmt, xs), map(fmt, ys))
-        ]))
+        xs, ys = map(cache.__getitem__, orbit.points.xs), map(cache.__getitem__, orbit.points.ys)
+        parts.append("".join([f"{head}{j},{x},{y}{tail}" for j, x, y in zip(count(), xs, ys)]))
     return "".join(parts)
 
 
 def orbits_from_csv(text: str) -> list[dict]:
-    """Parse an orbit CSV back into per-orbit dicts (points in file order)."""
+    """Parse an orbit CSV back into per-orbit dicts (points in file order).
+
+    Each orbit starts at a row with j = 0 and runs through j = period - 1
+    with the same k, period and branch; any other sequence of rows raises
+    ``ValueError``, so orbits that share (k, branch) stay apart.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError("unrecognized orbit CSV header")
-    grouped: dict[tuple[int, str], dict] = {}
+    entries: list[dict] = []
     for line in lines[1:]:
         fields = line.split(",")
         if len(fields) != 10:
             raise ValueError(f"malformed orbit CSV row: {line}")
-        k = int(fields[0])
-        branch = fields[2]
-        key = (k, branch)
-        entry = grouped.setdefault(
-            key,
-            {
+        k, period, branch, j = int(fields[0]), int(fields[1]), fields[2], int(fields[3])
+        if j == 0:
+            entries.append({
                 "k": k,
-                "period": int(fields[1]),
+                "period": period,
                 "branch": branch,
                 "points": [],
                 "trace": float(fields[6]),
                 "det": float(fields[7]),
                 "stability": fields[8],
                 "residual": float(fields[9]),
-            },
-        )
+            })
+        entry = entries[-1] if entries else None
+        if entry is None or j >= period or (k, period, branch, j) != (
+            entry["k"], entry["period"], entry["branch"], len(entry["points"])
+        ):
+            raise ValueError(f"orbit CSV row does not continue its orbit: {line}")
         entry["points"].append(Point2(float(fields[4]), float(fields[5])))
-    return list(grouped.values())
+    for entry in entries:
+        if len(entry["points"]) != entry["period"]:
+            raise ValueError(
+                f"orbit CSV orbit k={entry['k']} has {len(entry['points'])} of its "
+                f"{entry['period']} points"
+            )
+    return entries

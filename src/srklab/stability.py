@@ -62,7 +62,7 @@ def orbit_jacobian(params: MapParams, points: Sequence[Point2]) -> Jacobian2:
     the reference.  Closed-form orbits, whose itinerary is known, get the
     same product bit for bit from the batched walk of ``scan_srk`` and
     ``assemble_orbit``, which applies the saddle factors to every
-    candidate at once.
+    candidate at once, beside the record of the points it walks.
     """
     total = Jacobian2.identity()
     for p in points:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srklab.basins import AttractorRegistry, ClassifyLimits, labels_csv, raster
 from srklab.cli import (
     _SCHEMA,
     EXIT_CONFIG,
@@ -21,8 +22,10 @@ from srklab.cli import (
     EXIT_IO,
     EXIT_OK,
     build_parser,
+    load_config,
     main,
 )
+from srklab.orbits import scan_srk
 
 PP_PARAMS = {"lambda": 0.8, "sigma": 1.25, "c2": -0.5, "d1": 1.0, "d5": 1.0}
 NP_PARAMS = {"lambda": -0.8, "sigma": 1.25, "c2": -0.5, "d1": -1.0, "d5": 1.0}
@@ -514,6 +517,54 @@ class TestBasins:
         err = capsys.readouterr().err
         assert "registry CSV inconsistent with params" in err
         assert "Traceback" not in err
+
+    def test_registry_csv_rows_out_of_sequence_is_config_error(self, tmp_path, capsys):
+        # Rows j = 0, 1, 0 of SR_1: a second orbit that stops after its
+        # first point is a bad CSV, not a period-3 orbit that fails to close.
+        orbits_cfg = orbit_config(tmp_path, k_min=1, k_max=1)
+        assert main(["find-orbits", "--config", orbits_cfg]) == EXIT_OK
+        rows = (tmp_path / "out" / "orbits.csv").read_text().splitlines()
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text("\n".join(rows[:3] + rows[1:2]) + "\n")
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "basins_out"),
+                "basins": {"resolution": [8, 8], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad registry CSV" in err and "Traceback" not in err
+
+    def test_write_labels_matches_labels_csv_of_the_raster(self, tmp_path):
+        body = {
+            "params": PP_PARAMS,
+            "output_dir": str(tmp_path / "plain"),
+            "basins": {"resolution": [6, 6], "max_iter": 1500, "registry": "auto", "k_max": 4},
+        }
+        plain = write_config(tmp_path, "plain.json", body)
+        body["output_dir"] = str(tmp_path / "labelled")
+        body["basins"]["write_labels"] = True
+        labelled = write_config(tmp_path, "labelled.json", body)
+        assert main(["basins", "--config", plain]) == EXIT_OK
+        assert main(["basins", "--config", labelled]) == EXIT_OK
+        assert not (tmp_path / "plain" / "labels.csv").exists()
+
+        config = load_config(labelled, "basins")
+        section = config.section
+        orbits = scan_srk(config.params, section["k_min"], section["k_max"]).orbits
+        registry = AttractorRegistry.from_orbits(config.params, orbits)
+        limits = ClassifyLimits(
+            max_iter=section["max_iter"],
+            escape_radius=section["escape_radius"],
+            prox_tol=section["prox_tol"],
+        )
+        grid = raster(config.params, registry, section["window"], 6, 6, limits)
+        assert (tmp_path / "labelled" / "labels.csv").read_text() == labels_csv(grid)
+        assert len(grid.labels.ravel()) == 36 and len(registry) == 5
 
     def test_degenerate_params_have_no_attractors(self, tmp_path, capsys):
         cfg = write_config(

@@ -32,7 +32,7 @@ from srklab import (
     srk_quadratic,
 )
 from srklab.mapcore import eval_return, eval_saddle
-from srklab.orbits import CLOSING_TOL, _point_above_strip
+from srklab.orbits import CLOSING_TOL, _point_above_strip, _walk
 from srklab.stability import orbit_jacobian
 
 from conftest import walk
@@ -159,14 +159,20 @@ class TestAssembleOrbit:
                 assert orbit.residual <= 1e-12
 
 
-def piecewise_walk(params, k, u):
-    """The closed-form points built one piece call at a time."""
-    points = [_point_above_strip(params, k, u)]
+def walk_from(params, k, up):
+    """The points of candidate (k, up) built one piece call at a time:
+    ``up``, its return image, then k - 1 saddle images."""
+    points = [up]
     if k > 0:
-        points.append(eval_return(params, points[0]))
+        points.append(eval_return(params, up))
         for _ in range(k - 1):
             points.append(eval_saddle(params, points[-1]))
     return points
+
+
+def piecewise_walk(params, k, u):
+    """The closed-form points built one piece call at a time."""
+    return walk_from(params, k, _point_above_strip(params, k, u))
 
 
 LOW_K, HIGH_K = range(0, 61), range(390, 401)
@@ -217,8 +223,8 @@ class TestFusedWalk:
         "params", list(FUSED_WALK_SETS_PARAMS.values()), ids=list(FUSED_WALK_SETS_PARAMS)
     )
     def test_itinerary_verdicts_match_per_point_walk(self, params):
-        # The walk flags a row from its extreme heights; every record of
-        # k <= 400 must still follow the per-point region test.
+        # The walk checks every recorded point; every record of k <= 400
+        # must follow the per-point region test.
         seen = set()
         for record in scan_srk(params, 0, 400).records:
             if record.status == "no-real-root":
@@ -235,6 +241,81 @@ class TestFusedWalk:
             else:
                 assert violations == [], (record.k, record.branch, record.status)
         assert {"closed-form", "precision-limited"} <= seen
+
+
+def _edge_candidates():
+    """Hand-made candidates at the itinerary's boundaries, as name ->
+    (params, k, up, violated steps).  For pp and pn at y = y_star the
+    return image's height is x exactly, and the heights after it are x
+    times powers of sigma."""
+    pp, pn = EXAMPLE_CASES["pp"], EXAMPLE_CASES["pn"]
+    h0, h1 = pp.h0, pp.h1
+    on_h0 = h0 / pp.sigma**2  # (x*sigma)*sigma rounds to h0 exactly
+    return {
+        "up at h1": (pp, 3, Point2(0.512, h1), []),
+        "up one ulp below h1": (pp, 3, Point2(0.512, math.nextafter(h1, 0.0)), [0]),
+        "up NaN": (pp, 2, Point2(0.5, math.nan), [0, 1, 2]),
+        "step k at h0": (pp, 3, Point2(on_h0, 1.0), []),
+        "step k one ulp above h0": (pp, 3, Point2(math.nextafter(on_h0, 1.0), 1.0), [3]),
+        "k = 0 fixed point": (pp, 0, Point2(1.0, 1.0), []),
+        "k = 0 below h1": (pp, 0, Point2(1.0, 0.9), [0]),
+        "k = 1 orbit": (pp, 1, Point2(0.8, 1.0), []),
+        "k = 1 one ulp above h0": (pp, 1, Point2(math.nextafter(h0, 1.0), 1.0), [1]),
+        # sigma < 0: step k - 1 is the highest positive height, and step
+        # k lies far below the strip.
+        "pn step k - 1 only": (pn, 4, Point2(0.57, 1.0), [3]),
+    }
+
+
+EDGE_CANDIDATES = _edge_candidates()
+
+
+class TestWalkItineraryEdges:
+    """``_walk`` checks the itinerary on every recorded point.  At the
+    region boundaries its violations, points and closing residual must
+    equal the one-point walk's, whether a candidate is walked alone or
+    in a batch with longer and shorter ones."""
+
+    @staticmethod
+    def _assert_matches_one_point_walk(params, walks, row, k, up):
+        points = walk_from(params, k, up)
+        assert walks.violations.get(row, []) == _itinerary(params, points)
+        got = walks.points(row)
+        assert list(map(repr, got.xs)) == [repr(p.x) for p in points]
+        assert list(map(repr, got.ys)) == [repr(p.y) for p in points]
+        closing = eval_map(params, points[-1])
+        residual = max(abs(closing.x - up.x), abs(closing.y - up.y))
+        assert repr(walks.residual(params, row)) == repr(residual)
+
+    @pytest.mark.parametrize(
+        "params, k, up, steps",
+        list(EDGE_CANDIDATES.values()),
+        ids=list(EDGE_CANDIDATES),
+    )
+    def test_single_candidate(self, params, k, up, steps):
+        walks = _walk(params, [k], [up])
+        assert [j for j, _ in walks.violations.get(0, [])] == steps
+        self._assert_matches_one_point_walk(params, walks, 0, k, up)
+
+    def test_boundary_heights_are_exact(self):
+        pp = EXAMPLE_CASES["pp"]
+        on_h0 = walk_from(pp, 3, EDGE_CANDIDATES["step k at h0"][2])[-1].y
+        above = walk_from(pp, 3, EDGE_CANDIDATES["step k one ulp above h0"][2])[-1].y
+        assert on_h0 == pp.h0 and above == math.nextafter(pp.h0, 1.0)
+
+    @pytest.mark.parametrize("name", ["pp", "pn"])
+    def test_batch_equals_single_walks(self, name):
+        params = EXAMPLE_CASES[name]
+        cases = sorted(
+            [(k, up) for p, k, up, _ in EDGE_CANDIDATES.values() if p is params],
+            key=lambda case: -case[0],
+        )
+        # A longer candidate keeps every row of the record live past the
+        # hand-made ones' k.
+        cases.insert(0, (8, _point_above_strip(params, 8, srk_quadratic(params, 8).u_minus)))
+        walks = _walk(params, [k for k, _ in cases], [up for _, up in cases])
+        for row, (k, up) in enumerate(cases):
+            self._assert_matches_one_point_walk(params, walks, row, k, up)
 
 
 def _bits(values):
@@ -645,6 +726,48 @@ class TestOrbitCsv:
         )
         for orbits in ([orbit], [orbit, odd], [odd, orbit]):
             assert orbits_to_csv(orbits) == reference_csv(orbits)
+
+    def test_orbits_sharing_k_and_branch_stay_apart(self, pp):
+        orbit = dataclasses.replace(scan_srk(pp, 8, 8).orbit(8, Branch.MINUS), branch=None)
+        parsed = orbits_from_csv(orbits_to_csv([orbit, orbit]))
+        assert len(parsed) == 2
+        for entry in parsed:
+            assert (entry["k"], entry["period"], entry["branch"]) == (8, 9, "")
+            assert tuple(entry["points"]) == orbit.points
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows[:1] + rows[2:],  # starts at j = 1
+            lambda rows: rows[:3] + rows[4:],  # skips a point
+            lambda rows: rows[:-1],  # last orbit cut short
+            lambda rows: rows[:2] + rows[2:3] + rows[2:],  # repeats a point
+            lambda rows: rows[:2] + [rows[2].replace(",2,", ",3,", 1)] + rows[3:],  # period
+            lambda rows: rows[:2] + [rows[2].replace(",minus,", ",plus,", 1)] + rows[3:],
+        ],
+        ids=["no-start", "gap", "short", "repeat", "period", "branch"],
+    )
+    def test_rows_out_of_sequence_rejected(self, pp, edit):
+        rows = orbits_to_csv(scan_srk(pp, 1, 2).orbits).splitlines()
+        assert [row.split(",")[:4] for row in rows[1:3]] == [["1", "2", "minus", "0"]] + [
+            ["1", "2", "minus", "1"]
+        ]
+        with pytest.raises(ValueError):
+            orbits_from_csv("\n".join(edit(rows)) + "\n")
+
+    def test_numpy_and_int_coordinates_write_as_floats(self, pp):
+        base = scan_srk(pp, 2, 2).orbits[0]
+        xs = tuple(np.array(base.points.xs))  # np.float64 values
+        ys = base.points.ys[:-1] + (1,)
+        orbit = dataclasses.replace(base, points=OrbitPoints(xs, ys))
+        moved = dataclasses.replace(base, points=(Point2(np.float64(0.5), 2), *base.points[1:]))
+        for o in (orbit, moved):
+            assert {type(v) for v in o.points.xs + o.points.ys} == {float}
+        text = orbits_to_csv([orbit, moved])
+        assert "np." not in text and text == reference_csv([orbit, moved])
+        parsed = orbits_from_csv(text)
+        assert parsed[0]["points"] == list(zip(base.points.xs, ys))
+        assert parsed[1]["points"][0] == (0.5, 2.0)
 
     def test_header_enforced(self):
         with pytest.raises(ValueError):
