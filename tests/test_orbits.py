@@ -749,9 +749,8 @@ class TestOrbitCsv:
     )
     def test_rows_out_of_sequence_rejected(self, pp, edit):
         rows = orbits_to_csv(scan_srk(pp, 1, 2).orbits).splitlines()
-        assert [row.split(",")[:4] for row in rows[1:3]] == [["1", "2", "minus", "0"]] + [
-            ["1", "2", "minus", "1"]
-        ]
+        head = [row.split(",")[:4] for row in rows[1:3]]
+        assert head == [["1", "2", "minus", "0"], ["1", "2", "minus", "1"]]
         with pytest.raises(ValueError):
             orbits_from_csv("\n".join(edit(rows)) + "\n")
 
