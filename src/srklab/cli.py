@@ -321,9 +321,20 @@ def cmd_basins(config: ExperimentConfig) -> int:
         except ValueError as err:
             raise ConfigError(f"bad registry CSV: {err}") from err
         registry = AttractorRegistry()
+        # Registered orbits by point set: an orbit listed twice, in any
+        # rotation, would be registered twice.
+        by_points: dict[frozenset, list[tuple]] = {}
         for row in rows:
             if row["stability"] != "asymptotically-stable":
                 continue
+            pts = tuple(row["points"])
+            same = by_points.setdefault(frozenset(pts), [])
+            if any(pts == old[j:] + old[:j] for old in same for j in range(len(old))):
+                raise ConfigError(
+                    f"bad registry CSV: orbit k={row['k']} branch {row['branch']!r} "
+                    "repeats the points of an earlier orbit"
+                )
+            same.append(pts)
             try:
                 registry.add(config.params, row["points"], label=f"sr{row['k']}")
             except ValueError as err:

@@ -4,6 +4,10 @@ The unstable manifold is grown by mapping a fundamental segment of the
 local unstable axis forward.  Each generation is stepped once from the
 one before it: its seeds that the previous generation also had take
 their images from there, and only new midpoints walk from generation 0.
+Those walks, and the seed re-walks of tangency sharpening, start with
+the saddle passage: while the walk lies below the switching strip, f is
+the linear saddle piece, so they step by ``eval_saddle`` alone and take
+only the steps after it through the full map.
 The stable set is grown backwards as a preimage tree, branching over the
 analytic inverses of the two map pieces and a Newton inverse inside the
 blend strip (the map is non-invertible, so the stable set has several
@@ -31,6 +35,7 @@ from .mapcore import (
     Rect,
     eval_map,
     eval_map_arrays,
+    eval_saddle,
     jacobian_arrays,
 )
 from .params import MapParams
@@ -355,9 +360,19 @@ def _step_seeds(
 
 
 def _iterate_seeds(params: MapParams, ts: np.ndarray, generation: int) -> np.ndarray:
-    """f^generation applied to the axis seeds (0, t), vectorized."""
+    """f^generation applied to the axis seeds (0, t), vectorized.
+
+    The walk starts with the saddle passage: while every point lies below
+    the strip and inside the freeze radius, it steps by ``eval_saddle``,
+    whose products are what ``_step_seeds`` would keep there.  The steps
+    that remain go through ``_step_seeds``.
+    """
     x, y = np.zeros_like(ts), ts
-    for _ in range(generation):
+    steps = generation
+    while steps > 0 and ((y <= params.h0) & (np.abs(y) <= _FREEZE_RADIUS)).all():
+        x, y = eval_saddle(params, Point2(x, y))
+        steps -= 1
+    for _ in range(steps):
         x, y = _step_seeds(params, x, y)
     return np.column_stack((x, y))
 
@@ -613,8 +628,18 @@ def _golden_min(fun, lo: float, hi: float, tol: float) -> float:
 
 
 def _reiterate(params: MapParams, t: float, generation: int) -> Point2:
+    """f^generation of the axis seed (0, t) in plain floats.
+
+    Like ``_iterate_seeds`` it starts with the saddle passage, stepping by
+    ``eval_saddle`` while the point is below the strip (``region_of``'s
+    LOWER test), then takes the steps that remain through ``eval_map``.
+    """
     p = Point2(0.0, t)
-    for _ in range(generation):
+    steps = generation
+    while steps > 0 and p.y <= params.h0:
+        p = eval_saddle(params, p)
+        steps -= 1
+    for _ in range(steps):
         p = eval_map(params, p)
     return p
 

@@ -159,7 +159,8 @@ class SRkOrbit:
     at the converged iterate for a Newton orbit.  It is always an
     ``OrbitPoints``; any other sequence of points given to the
     constructor (or to ``dataclasses.replace``) is converted to one.
-    ``method`` is "closed-form" or "newton".
+    ``residual``, ``trace`` and ``det`` are likewise Python floats, so
+    they format as plain floats.  ``method`` is "closed-form" or "newton".
     """
 
     k: int
@@ -173,6 +174,10 @@ class SRkOrbit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", OrbitPoints.of(self.points))
+        for name in ("residual", "trace", "det"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
 
     @property
     def period(self) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -25,7 +26,7 @@ from srklab.cli import (
     load_config,
     main,
 )
-from srklab.orbits import scan_srk
+from srklab.orbits import orbits_to_csv, scan_srk
 
 PP_PARAMS = {"lambda": 0.8, "sigma": 1.25, "c2": -0.5, "d1": 1.0, "d5": 1.0}
 NP_PARAMS = {"lambda": -0.8, "sigma": 1.25, "c2": -0.5, "d1": -1.0, "d5": 1.0}
@@ -538,6 +539,51 @@ class TestBasins:
         assert main(["basins", "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "bad registry CSV" in err and "Traceback" not in err
+
+    def test_registry_csv_repeating_an_orbit_is_config_error(self, pp, tmp_path, capsys):
+        # SR_0..SR_3 twice, the copy of SR_2 starting at its second point.
+        orbits = scan_srk(pp, 0, 3).orbits
+        sr2 = next(orbit for orbit in orbits if orbit.k == 2)
+        rotated = dataclasses.replace(sr2, points=sr2.points[1:] + sr2.points[:1])
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text(orbits_to_csv(orbits + [rotated]))
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "basins_out"),
+                "basins": {"resolution": [8, 8], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad registry CSV: orbit k=2 branch '{sr2.branch.value}'" in err
+        assert "Traceback" not in err and not (tmp_path / "basins_out").exists()
+        registry_path.write_text(orbits_to_csv(orbits + orbits))
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        assert f"bad registry CSV: orbit k={orbits[0].k} " in capsys.readouterr().err
+
+    def test_registry_csv_with_distinct_orbits_of_one_k_and_branch(self, pp, tmp_path):
+        # SR_2 written under SR_1's k and branch: two distinct orbits that
+        # share (k, branch) both register.
+        orbits = scan_srk(pp, 1, 2).orbits
+        sr1, sr2 = sorted(orbits, key=lambda orbit: orbit.k)
+        relabelled = dataclasses.replace(sr2, k=sr1.k, branch=sr1.branch)
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text(orbits_to_csv([sr1, relabelled]))
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "basins_out"),
+                "basins": {"resolution": [8, 8], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_OK
+        legend = (tmp_path / "basins_out" / "legend.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in legend[1:]] == ["sr1", "sr1"]
 
     def test_write_labels_matches_labels_csv_of_the_raster(self, tmp_path):
         body = {

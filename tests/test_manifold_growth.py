@@ -124,6 +124,107 @@ class TestSeedPool:
         assert same_bits(got, [tuple(_reiterate(nn, 0.0, 1)), (0.0, 0.0)])
 
 
+# -- saddle passage ----------------------------------------------------------
+
+
+def plain_walk(params, t: float, g: int) -> Point2:
+    """f^g of the axis seed (0, t) by g scalar ``eval_map`` calls."""
+    p = Point2(0.0, t)
+    for _ in range(g):
+        p = eval_map(params, p)
+    return p
+
+
+def stepped_seeds(params, ts: np.ndarray, g: int) -> np.ndarray:
+    """f^g of the axis seeds (0, t) by g calls of ``_step_seeds``."""
+    x, y = np.zeros_like(ts), ts
+    for _ in range(g):
+        x, y = manifolds._step_seeds(params, x, y)
+    return np.column_stack((x, y))
+
+
+@pytest.fixture
+def scalar_counter(monkeypatch):
+    """Counts the calls of ``manifolds.eval_map``."""
+    count = [0]
+    kernel = manifolds.eval_map
+
+    def counted(params, p):
+        count[0] += 1
+        return kernel(params, p)
+
+    monkeypatch.setattr(manifolds, "eval_map", counted)
+    return count
+
+
+class TestSaddlePassage:
+    @pytest.mark.parametrize("seed_scale", [1e-4, -1e-4])
+    @pytest.mark.parametrize("case", sorted(WALK_FROM_ZERO_STEPS))
+    def test_reiterate_is_the_plain_walk(self, all_cases, case, seed_scale):
+        params = all_cases[case]
+        curve = trace_unstable(params, 45, CLIP, seed_scale=seed_scale)
+        pairs = zip(curve.seed_t.tolist(), curve.generation.tolist())
+        differ = [
+            i
+            for i, (t, g) in enumerate(pairs)
+            if not same_bits(_reiterate(params, t, g), plain_walk(params, t, g))
+        ]
+        assert differ == []
+
+    @pytest.mark.parametrize("case", sorted(WALK_FROM_ZERO_STEPS))
+    def test_iterate_seeds_is_the_stepped_walk(self, all_cases, case):
+        params = all_cases[case]
+        sigma, h0, radius = params.sigma, params.h0, manifolds._FREEZE_RADIUS
+        # The largest seed reaches the strip before the others.
+        m = 6
+        late = h0 / abs(sigma) ** (m + 0.5)
+        early = np.array([late, 0.9 * late, late * abs(sigma) ** 0.9])
+        batches = {
+            "generation 0": (np.linspace(-1e-4, 1e-4, 5), 0),
+            "empty": (np.empty(0), 45),
+            "largest seed early": (early, 45),
+            "largest seed early, short": (early, m + 1),
+            "spans 0 with signed zeros": (
+                np.concatenate([np.linspace(sigma * 1e-4, 1e-4, 9), [0.0, -0.0]]), 45
+            ),
+            "below the strip, beyond the freeze radius": (
+                np.array([1e-4, -2.0 * radius, -1e12]), 45
+            ),
+            "above the strip, beyond the freeze radius": (np.array([1e-4, 2.0 * radius]), 45),
+            "a NaN seed": (np.array([1e-4, math.nan, -1e-4]), 45),
+        }
+        for name, (ts, g) in batches.items():
+            got = manifolds._iterate_seeds(params, ts, g)
+            assert same_bits(got, stepped_seeds(params, ts, g)), name
+
+    def test_passage_takes_every_step_below_the_strip(self, pp, step_counter, scalar_counter):
+        # 1.25**10 * 1e-4 is far below the strip: no step needs the full map.
+        ts = np.array([1e-4, -1e-4])
+        expected = stepped_seeds(pp, ts, 10)
+        step_counter[0] = 0
+        assert same_bits(manifolds._iterate_seeds(pp, ts, 10), expected)
+        assert same_bits(_reiterate(pp, -1e-4, 10), plain_walk(pp, -1e-4, 10))
+        assert step_counter[0] == scalar_counter[0] == 0
+
+    def test_seed_on_h0_takes_the_saddle_step(self, pp, step_counter, scalar_counter):
+        # region_of puts y == h0 below the strip; sigma * h0 lies above it,
+        # so the other nine steps go through the full map.
+        ts = np.array([pp.h0])
+        expected = stepped_seeds(pp, ts, 10)
+        step_counter[0] = 0
+        assert same_bits(manifolds._iterate_seeds(pp, ts, 10), expected)
+        assert step_counter[0] == 9
+        assert same_bits(_reiterate(pp, pp.h0, 10), plain_walk(pp, pp.h0, 10))
+        assert scalar_counter[0] == 9
+
+    @pytest.mark.parametrize("case", sorted(WALK_FROM_ZERO_STEPS))
+    def test_kernel_steps_after_the_passage(self, all_cases, step_counter, case):
+        for sign, walk_from_zero in zip((1, -1), WALK_FROM_ZERO_STEPS[case]):
+            step_counter[0] = 0
+            trace_unstable(all_cases[case], 45, CLIP, seed_scale=sign * 1e-4)
+            assert step_counter[0] <= 0.10 * walk_from_zero
+
+
 # -- blend-strip Newton ----------------------------------------------------
 
 

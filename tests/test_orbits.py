@@ -768,6 +768,18 @@ class TestOrbitCsv:
         assert parsed[0]["points"] == list(zip(base.points.xs, ys))
         assert parsed[1]["points"][0] == (0.5, 2.0)
 
+    def test_numpy_trace_det_and_residual_write_as_floats(self, pp):
+        base = scan_srk(pp, 2, 2).orbits[0]
+        orbit = dataclasses.replace(
+            base, trace=np.float64(0.0), det=np.float32(0.5), residual=np.float64(-0.0)
+        )
+        assert {type(v) for v in (orbit.trace, orbit.det, orbit.residual)} == {float}
+        text = orbits_to_csv([orbit])
+        assert "np." not in text and text == reference_csv([orbit])
+        (entry,) = orbits_from_csv(text)
+        assert (entry["trace"], entry["det"]) == (0.0, 0.5)
+        assert math.copysign(1.0, entry["residual"]) == -1.0
+
     def test_header_enforced(self):
         with pytest.raises(ValueError):
             orbits_from_csv("a,b,c\n1,2,3\n")
