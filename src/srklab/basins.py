@@ -103,17 +103,21 @@ class AttractorRegistry:
         label: str | None = None,
     ) -> Attractor:
         """Register one periodic orbit, given as points or as a (period, 2)
-        array; re-verifies periodicity under the map."""
+        array; re-verifies it under the map: the walk from point 0 must
+        pass every listed point in order and close on point 0."""
         pts = np.array(points, dtype=float)
         period = pts.shape[0]
         p = Point2(float(pts[0, 0]), float(pts[0, 1]))
-        for _ in range(period):
+        for j in range(1, period + 1):
             p = eval_map(params, p)
-        residual = max(abs(p.x - pts[0, 0]), abs(p.y - pts[0, 1]))
-        if not residual <= CLOSING_TOL:  # also rejects NaN residuals
-            raise ValueError(
-                f"orbit is not periodic under the map (residual {residual:.3e})"
-            )
+            # The max-norm residual, NaN when either coordinate is NaN.
+            residual = float(np.abs(np.subtract(p, pts[j % period])).max())
+            if not residual <= CLOSING_TOL:
+                if j == period:
+                    msg = "orbit is not periodic under the map"
+                else:
+                    msg = f"orbit point {j} is not point 0 mapped {j} times"
+                raise ValueError(f"{msg} (residual {residual:.3e})")
         new_id = len(self.entries)
         used = {e.color for e in self.entries}
         # The palette repeats (index 611 has index 1's color): skip ahead

@@ -1,13 +1,12 @@
 """Growing the one-dimensional invariant manifolds of the origin.
 
 The unstable manifold is grown by mapping a fundamental segment of the
-local unstable axis forward.  Each generation is stepped once from the
-one before it: its seeds that the previous generation also had take
-their images from there, and only new midpoints walk from generation 0.
-Those walks, and the seed re-walks of tangency sharpening, start with
-the saddle passage: while the walk lies below the switching strip, f is
-the linear saddle piece, so they step by ``eval_saddle`` alone and take
-only the steps after it through the full map.
+local unstable axis forward.  Every seed of every generation, refinement
+midpoints included, walks from generation 0.  Those walks, and the seed
+re-walks of tangency sharpening, start with the saddle passage: while
+the walk lies below the switching strip, f is the linear saddle piece,
+so they step by ``eval_saddle`` alone and take only the steps after it
+through the full map.
 The stable set is grown backwards as a preimage tree, branching over the
 analytic inverses of the two map pieces and a Newton inverse inside the
 blend strip (the map is non-invertible, so the stable set has several
@@ -209,14 +208,6 @@ def _one_row(p) -> Point2:
     return Point2(np.array([float(p[0])]), np.array([float(p[1])]))
 
 
-def _newton_preimage(
-    params: MapParams, q: Point2, guess: Point2
-) -> tuple[Point2, int, float]:
-    """``_blend_newton`` for one point; returns (point, iters, residual)."""
-    p, iters, res = _blend_newton(params, _one_row(q), _one_row(guess))
-    return Point2(float(p.x[0]), float(p.y[0])), int(iters[0]), float(res[0])
-
-
 def invert_blend(params: MapParams, q: Point2, guesses: list[Point2]) -> Point2 | None:
     """A preimage of q inside the blend strip, by Newton iteration from the guesses.
 
@@ -250,10 +241,12 @@ def _needs_refinement(
     seg = relevant & (gaps > max_gap)
 
     # Turning angle at interior vertices: refine both adjacent segments.
+    # Far-out segments overflow to inf or NaN here, without a warning.
     a, b = deltas[:-1], deltas[1:]
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    dot = (a * b).sum(axis=1)
-    big_angle = np.abs(np.arctan2(cross, dot)) > max_angle
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        dot = (a * b).sum(axis=1)
+        big_angle = np.abs(np.arctan2(cross, dot)) > max_angle
     # Ignore vertices whose segments are already tiny (curvature limit).
     tiny = (gaps[:-1] <= max_gap * 1e-3) & (gaps[1:] <= max_gap * 1e-3)
     big_angle &= ~tiny & (relevant[:-1] | relevant[1:])
@@ -355,7 +348,9 @@ def _step_seeds(
     outside any reasonable clip window.
     """
     alive = (np.abs(x) <= _FREEZE_RADIUS) & (np.abs(y) <= _FREEZE_RADIUS)
-    nx, ny = eval_map_arrays(params, x, y)
+    # Only rows that the freeze rule discards can overflow; they warn nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx, ny = eval_map_arrays(params, x, y)
     return np.where(alive, nx, x), np.where(alive, ny, y)
 
 
@@ -364,42 +359,27 @@ def _iterate_seeds(params: MapParams, ts: np.ndarray, generation: int) -> np.nda
 
     The walk starts with the saddle passage: while every point lies below
     the strip and inside the freeze radius, it steps by ``eval_saddle``,
-    whose products are what ``_step_seeds`` would keep there.  The steps
-    that remain go through ``_step_seeds``.
+    whose products are what ``_step_seeds`` would keep there.  Every row
+    starts on the axis, so x is one float until the passage ends.  A step
+    multiplies every y by sigma, which keeps the rows' order (sigma < 0
+    reverses it), so the rows of the lowest and highest seed are the first
+    to leave [-radius, min(h0, radius)] and only they are tested; a NaN
+    seed is both and ends the passage at once.  The steps that remain go
+    through ``_step_seeds``.
     """
-    x, y = np.zeros_like(ts), ts
+    if ts.size == 0:
+        return np.empty((0, 2))
+    lo, hi = int(ts.argmin()), int(ts.argmax())
+    bottom, top = -_FREEZE_RADIUS, min(params.h0, _FREEZE_RADIUS)
+    x, y = 0.0, ts
     steps = generation
-    while steps > 0 and ((y <= params.h0) & (np.abs(y) <= _FREEZE_RADIUS)).all():
+    while steps > 0 and bottom <= y[lo] <= top and bottom <= y[hi] <= top:
         x, y = eval_saddle(params, Point2(x, y))
         steps -= 1
+    x = np.full(ts.shape, x)
     for _ in range(steps):
         x, y = _step_seeds(params, x, y)
     return np.column_stack((x, y))
-
-
-def _seed_images(
-    params: MapParams,
-    generation: int,
-    pool: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ts: np.ndarray,
-) -> np.ndarray:
-    """f^generation of the axis seeds (0, t), taken from ``pool`` where it can.
-
-    ``pool`` holds seed parameters, their argsort and their images at this
-    generation.  A t found there with the same bits has its pooled image;
-    the rest walk from generation 0.  The pool may run either way in t.
-    """
-    pool_t, order, pool_pts = pool
-    out = np.empty((ts.size, 2))
-    miss = np.ones(ts.size, dtype=bool)
-    if pool_t.size:
-        at = order[np.searchsorted(pool_t, ts, sorter=order).clip(max=pool_t.size - 1)]
-        # +0.0 and -0.0 are equal but seed images of different sign.
-        miss = (pool_t[at] != ts) | (np.signbit(pool_t[at]) != np.signbit(ts))
-        out[~miss] = pool_pts[at[~miss]]
-    if miss.any():
-        out[miss] = _iterate_seeds(params, ts[miss], generation)
-    return out
 
 
 def trace_unstable(
@@ -418,9 +398,8 @@ def trace_unstable(
     and both half-axes grow.  Generation g is the image under f^g of 33
     seeds on that segment, refined by ``_refine``; consecutive generations
     concatenate into one polyline (generation g ends where generation g+1
-    begins).  Generation g - 1's seeds, stepped once, give generation g
-    the images of the seeds they share; only the others walk from
-    generation 0.  No generation is started once the budget has run out.
+    begins).  Every seed walks from generation 0 (``_iterate_seeds``).
+    No generation is started once the budget has run out.
     """
     if n_images < 1:
         raise ValueError("n_images must be >= 1")
@@ -434,11 +413,8 @@ def trace_unstable(
 
     pieces: list[tuple[np.ndarray, ...]] = []
     used = 0
-    ts, pts = np.empty(0), np.empty((0, 2))
     for g in range(n_images + 1):
-        # The previous generation's seeds, stepped once, serve this one.
-        stepped = np.column_stack(_step_seeds(params, pts[:, 0], pts[:, 1]))
-        images = partial(_seed_images, params, g, (ts, np.argsort(ts), stepped))
+        images = partial(_iterate_seeds, params, generation=g)
         left = point_budget - used
         ts = np.linspace(t_lo, t_hi, 33)[: _allow(33, left, stats)]
         ts, pts = _refine(

@@ -115,6 +115,24 @@ class TestRegistry:
                 registry.add(pp, [point])
         assert len(registry) == 0
 
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_listed_point_off_the_orbit_rejected(self, pp, j):
+        # SR_2 still closes from its first point, but listed point j is not
+        # its j-th image.
+        sr2 = next(
+            orbit
+            for orbit in scan_srk(pp, 2, 2).orbits
+            if orbit.stability is StabilityClass.ASYMPTOTICALLY_STABLE
+        )
+        points = list(sr2.points)
+        points[j] = Point2(5.0, -7.0)
+        registry = AttractorRegistry()
+        with pytest.raises(ValueError, match=f"orbit point {j} is not point 0 mapped {j} times"):
+            registry.add(pp, points)
+        assert len(registry) == 0
+        registry.add(pp, sr2.points)
+        assert len(registry) == 1
+
 
 class TestClassify:
     def test_on_attractor_points_self_classify(self, pp, pp_registry):

@@ -519,6 +519,33 @@ class TestBasins:
         assert "registry CSV inconsistent with params" in err
         assert "Traceback" not in err
 
+    def test_registry_csv_point_off_its_orbit_is_config_error(self, pp, tmp_path, capsys):
+        # SR_0..SR_3 with SR_2's second point moved: the orbit still closes
+        # from its first point, but its listed points are not its orbit.
+        orbits = scan_srk(pp, 0, 3).orbits
+        moved = [
+            dataclasses.replace(orbit, points=[orbit.points[0], (5.0, -7.0), *orbit.points[2:]])
+            if orbit.k == 2
+            else orbit
+            for orbit in orbits
+        ]
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text(orbits_to_csv(moved))
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "basins_out"),
+                "basins": {"resolution": [12, 12], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "registry CSV inconsistent with params" in err
+        assert "orbit point 1 is not point 0 mapped 1 times" in err
+        assert "Traceback" not in err
+
     def test_registry_csv_rows_out_of_sequence_is_config_error(self, tmp_path, capsys):
         # Rows j = 0, 1, 0 of SR_1: a second orbit that stops after its
         # first point is a bad CSV, not a period-3 orbit that fails to close.

@@ -1,9 +1,9 @@
 """Bit-for-bit checks of the array paths of manifold growth.
 
-``trace_unstable`` carries each generation's seed images to the next with
-one map step and walks only new seeds from generation 0; the blend-strip
-preimages run as one masked Newton per tree level.  Both must give every
-point the bits of the plain scalar computation, written out here.
+``trace_unstable`` walks every seed from generation 0, through the saddle
+passage and then the full map, in batches; the blend-strip preimages run
+as one masked Newton per tree level.  Both must give every point the bits
+of the plain scalar computation, written out here.
 """
 from __future__ import annotations
 
@@ -71,6 +71,9 @@ def step_counter(monkeypatch):
 
 
 class TestSeedPool:
+    """The seeds of ``trace_unstable``: kernel cost against the full-map walk,
+    budget cuts, and every point the walk of its own seed."""
+
     @pytest.mark.parametrize("case", sorted(WALK_FROM_ZERO_STEPS))
     def test_default_seed_reuses_previous_generation(self, all_cases, step_counter, case):
         curve = trace_unstable(all_cases[case], 45, CLIP)
@@ -79,8 +82,8 @@ class TestSeedPool:
 
     @pytest.mark.parametrize("case", sorted(WALK_FROM_ZERO_STEPS))
     def test_negative_seed_scale(self, all_cases, step_counter, case):
-        # The seed parameter then runs downwards along the curve; the pool
-        # must still be found by value, not by an ascending search.
+        # The seed parameter then runs downwards along the curve; every
+        # point must still be the walk of its own seed.
         curve = trace_unstable(all_cases[case], 45, CLIP, seed_scale=-1e-4)
         assert curve.seed_t[0] > curve.seed_t[-1]
         assert step_counter[0] <= 0.55 * WALK_FROM_ZERO_STEPS[case][1]
@@ -116,12 +119,6 @@ class TestSeedPool:
         curve = trace_unstable(params, 45, CLIP, max_gap=5e-3)
         assert curve.refinement.inserted_points > 10_000
         assert off_seed(curve) == []
-
-    def test_signed_zero_seeds_are_distinct(self, nn):
-        # (0, +0.0) and (0, -0.0) are equal seeds with images of different sign.
-        pool = (np.array([-0.0]), np.array([0]), np.array([[0.0, 0.0]]))
-        got = manifolds._seed_images(nn, 1, pool, np.array([0.0, -0.0]))
-        assert same_bits(got, [tuple(_reiterate(nn, 0.0, 1)), (0.0, 0.0)])
 
 
 # -- saddle passage ----------------------------------------------------------
@@ -179,11 +176,19 @@ class TestSaddlePassage:
         m = 6
         late = h0 / abs(sigma) ** (m + 0.5)
         early = np.array([late, 0.9 * late, late * abs(sigma) ** 0.9])
+        # For sigma < 0 the lowest seed's row is the highest after one step,
+        # and it reaches the strip three steps before the others.
+        low_early = np.array([-late * abs(sigma) ** 0.9, -0.5 * late, 0.5 * late])
+        # For sigma > 0 the lowest seed leaves the freeze radius three steps in,
+        # long before the others leave the passage.
+        deep = -radius / abs(sigma) ** 2.5
         batches = {
             "generation 0": (np.linspace(-1e-4, 1e-4, 5), 0),
             "empty": (np.empty(0), 45),
             "largest seed early": (early, 45),
             "largest seed early, short": (early, m + 1),
+            "smallest seed early": (low_early, 45),
+            "lowest seed beyond the freeze radius first": (np.array([1e-4, deep, -1e-4]), 45),
             "spans 0 with signed zeros": (
                 np.concatenate([np.linspace(sigma * 1e-4, 1e-4, 9), [0.0, -0.0]]), 45
             ),

@@ -27,7 +27,8 @@ from srklab.cli import EXIT_CONFIG, EXIT_OK, main
 from srklab.manifolds import (
     DEFAULT_MAX_GAP,
     RefinementStats,
-    _newton_preimage,
+    _blend_newton,
+    _one_row,
     _reiterate,
     curves_to_csv,
 )
@@ -135,17 +136,17 @@ class TestBlendInverse:
         params = pp.replace(c2=0.0)
         guess = Point2(0.3, 1.5)
         q = Point2(2.0, 2.0)
-        p, iterations, residual = _newton_preimage(params, q, guess)
-        assert (p, iterations) == (guess, 0)
+        p, iterations, residual = _blend_newton(params, _one_row(q), _one_row(guess))
+        assert (Point2(p.x[0], p.y[0]), iterations[0]) == (guess, 0)
         image = eval_map(params, guess)
-        assert residual == max(abs(image.x - q.x), abs(image.y - q.y)) > 1e-10
+        assert residual[0] == max(abs(image.x - q.x), abs(image.y - q.y)) > 1e-10
 
     def test_exact_guess_converges_immediately(self, pp):
         p = Point2(0.3, 0.9)
         q = eval_map(pp, p)
-        _, iterations, residual = _newton_preimage(pp, q, p)
-        assert iterations <= 2
-        assert residual <= 1e-10
+        _, iterations, residual = _blend_newton(pp, _one_row(q), _one_row(p))
+        assert iterations[0] <= 2
+        assert residual[0] <= 1e-10
 
 
 class TestTraceUnstable:
@@ -195,6 +196,13 @@ class TestTraceUnstable:
     def test_point_budget_flag(self, pp):
         curve = trace_unstable(pp, 30, CLIP, point_budget=500)
         assert curve.refinement.budget_exhausted
+
+    def test_far_seed_gives_the_empty_curve_without_warnings(self, pp):
+        # The segment starts beyond the freeze radius: the products that
+        # overflow belong to frozen rows or far-out segments, and none warns.
+        curve = trace_unstable(pp, 45, CLIP, seed_scale=1e160)
+        assert curve.points.shape == (0, 2)
+        assert curve.joined.size == curve.seed_t.size == curve.generation.size == 0
 
     def test_negative_seed_scale_keeps_curve_order(self, all_cases):
         # A negative seed runs the seed parameter downwards along the curve;
