@@ -39,6 +39,7 @@ from .manifolds import (
 from .mapcore import Rect
 from .orbits import orbits_from_csv, orbits_to_csv, scan_srk
 from .params import MapParams
+from .stability import classify, orbit_jacobian
 from .theory import full_report, trace_growth_experiment
 
 EXIT_OK = 0
@@ -325,22 +326,35 @@ def cmd_basins(config: ExperimentConfig) -> int:
         # rotation, would be registered twice.
         by_points: dict[frozenset, list[tuple]] = {}
         for row in rows:
-            if row["stability"] != "asymptotically-stable":
-                continue
-            pts = tuple(row["points"])
-            same = by_points.setdefault(frozenset(pts), [])
-            if any(pts == old[j:] + old[:j] for old in same for j in range(len(old))):
+            name = f"orbit k={row['k']} branch {row['branch']!r}"
+            if row["period"] != row["k"] + 1:
                 raise ConfigError(
-                    f"bad registry CSV: orbit k={row['k']} branch {row['branch']!r} "
-                    "repeats the points of an earlier orbit"
+                    f"bad registry CSV: {name} has period {row['period']}, not k + 1"
                 )
-            same.append(pts)
-            try:
-                registry.add(config.params, row["points"], label=f"sr{row['k']}")
-            except ValueError as err:
+            if row["stability"] == "asymptotically-stable":
+                pts = tuple(row["points"])
+                same = by_points.setdefault(frozenset(pts), [])
+                if any(pts == old[j:] + old[:j] for old in same for j in range(len(old))):
+                    raise ConfigError(
+                        f"bad registry CSV: {name} repeats the points of an earlier orbit"
+                    )
+                same.append(pts)
+                try:
+                    registry.add(config.params, row["points"], label=f"sr{row['k']}")
+                except ValueError as err:
+                    raise ConfigError(
+                        f"registry CSV inconsistent with params: {err}"
+                    ) from err
+            # A row's label must be the one the scan gives its points: a
+            # saddle labelled stable would register, and a stable orbit
+            # labelled otherwise would be passed over.
+            jac = orbit_jacobian(config.params, row["points"])
+            stability = classify(jac.trace, jac.det).value
+            if stability != row["stability"]:
                 raise ConfigError(
-                    f"registry CSV inconsistent with params: {err}"
-                ) from err
+                    f"registry CSV inconsistent with params: {name} is labelled "
+                    f"{row['stability']!r}, but its points are {stability!r}"
+                )
     if len(registry) == 0:
         raise ConfigError("registry contains no attractors")
 

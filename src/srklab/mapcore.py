@@ -4,9 +4,12 @@ Each formula of the map is written here once.  The piece functions
 (``eval_saddle``, ``eval_return``, ``blend_weight``, ``blend``) use plain
 operators, so they take a ``Point2`` of floats or of numpy arrays alike.
 ``eval_map`` and ``eval_map_arrays`` select among the same piece
-functions, one point at a time or by region masks, so rasters and
-manifold tracing can batch-iterate large point sets with scalar results;
-``jacobian`` and ``jacobian_arrays`` do the same for the Jacobian.
+functions, one point at a time or by region, so rasters and manifold
+tracing can batch-iterate large point sets with scalar results.
+``eval_map_arrays`` evaluates each piece only on the rows it applies to
+(most rows of a basin step lie below the strip, where f is the saddle
+piece), with the same bits as evaluating every piece on every row;
+``jacobian`` and ``jacobian_arrays`` select the Jacobian by region masks.
 """
 from __future__ import annotations
 
@@ -263,31 +266,33 @@ def saddle_power(params: MapParams, p: Point2, k: int) -> Point2:
     )
 
 
-def _region_masks(params: MapParams, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the points below and inside the strip, as ``region_of`` tags them."""
-    lower = y <= params.h0
-    return lower, ~(lower | (y >= params.h1))
-
-
 def eval_map_arrays(
     params: MapParams, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``eval_map`` over parallel coordinate arrays.
+    """Vectorized ``eval_map`` over parallel 1-D coordinate arrays.
 
-    Elementwise identical to the scalar path: region masks select per
-    point among the same piece functions, so results do not depend on
-    batching.
+    Elementwise identical to the scalar path: each piece function runs
+    only on the rows it applies to, as ``region_of`` tags them.  The
+    saddle piece runs on every row; the return piece replaces it on the
+    rows not below the strip (NaN heights among them), and the blend on
+    those of them not above it.  So results do not depend on batching,
+    and the input arrays are never written.
     """
-    p = Point2(x, y)
-    p0 = eval_saddle(params, p)
-    p1 = eval_return(params, p)
-    lower, in_strip = _region_masks(params, y)
-    out_x = np.where(lower, p0.x, p1.x)
-    out_y = np.where(lower, p0.y, p1.y)
-    if in_strip.any():
-        b = blend(blend_weight(params, y), p0, p1)
-        out_x = np.where(in_strip, b.x, out_x)
-        out_y = np.where(in_strip, b.y, out_y)
+    out_x, out_y = eval_saddle(params, Point2(x, y))
+    above = np.flatnonzero(~(y <= params.h0))
+    if above.size:
+        p = Point2(x[above], y[above])
+        new_x, new_y = eval_return(params, p)
+        mid = np.flatnonzero(~(p.y >= params.h1))
+        if mid.size:
+            q = Point2(p.x[mid], p.y[mid])
+            new_x[mid], new_y[mid] = blend(
+                blend_weight(params, q.y),
+                eval_saddle(params, q),
+                Point2(new_x[mid], new_y[mid]),
+            )
+        out_x[above] = new_x
+        out_y[above] = new_y
     return out_x, out_y
 
 
@@ -296,7 +301,8 @@ def jacobian_arrays(params: MapParams, x: np.ndarray, y: np.ndarray) -> Jacobian
     coordinate arrays, selected per point by region masks, so each entry
     has the bits of the scalar path."""
     p = Point2(x, y)
-    lower, in_strip = _region_masks(params, y)
+    lower = y <= params.h0
+    in_strip = ~(lower | (y >= params.h1))
     pieces = zip(_saddle_jacobian(params), _return_jacobian(params, p))
     out = [np.where(lower, a, b) for a, b in pieces]
     if in_strip.any():

@@ -45,6 +45,7 @@ from .mapcore import (
     _return_jacobian,
     eval_map,
     eval_return,
+    eval_saddle,
     region_of,
 )
 from .params import MapParams
@@ -379,12 +380,17 @@ def _cycle_and_residual(
 ) -> tuple[list[Point2], Point2]:
     """The orbit [p, ..., f^(period-1)(p)] and its closing image f^period(p).
 
-    Raises ``EscapeError`` when the closing gap is not finite.
+    A point below the strip (``region_of``'s LOWER test) steps by
+    ``eval_saddle``, the piece ``eval_map`` would select there; every
+    other point steps by ``eval_map``.  So each of the ``period`` steps
+    makes one call, with ``eval_map``'s bits.  Raises ``EscapeError``
+    when the closing gap is not finite.
     """
     pts = [p]
-    for _ in range(period - 1):
-        pts.append(eval_map(params, pts[-1]))
-    closing = eval_map(params, pts[-1])
+    for _ in range(period):
+        q = pts[-1]
+        pts.append(eval_saddle(params, q) if q.y <= params.h0 else eval_map(params, q))
+    closing = pts.pop()
     if not (math.isfinite(closing.x - p.x) and math.isfinite(closing.y - p.y)):
         raise EscapeError(at_step=period)
     return pts, closing

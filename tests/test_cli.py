@@ -27,6 +27,7 @@ from srklab.cli import (
     main,
 )
 from srklab.orbits import orbits_to_csv, scan_srk
+from srklab.stability import StabilityClass
 
 PP_PARAMS = {"lambda": 0.8, "sigma": 1.25, "c2": -0.5, "d1": 1.0, "d5": 1.0}
 NP_PARAMS = {"lambda": -0.8, "sigma": 1.25, "c2": -0.5, "d1": -1.0, "d5": 1.0}
@@ -592,13 +593,17 @@ class TestBasins:
         assert f"bad registry CSV: orbit k={orbits[0].k} " in capsys.readouterr().err
 
     def test_registry_csv_with_distinct_orbits_of_one_k_and_branch(self, pp, tmp_path):
-        # SR_2 written under SR_1's k and branch: two distinct orbits that
-        # share (k, branch) both register.
-        orbits = scan_srk(pp, 1, 2).orbits
-        sr1, sr2 = sorted(orbits, key=lambda orbit: orbit.k)
-        relabelled = dataclasses.replace(sr2, k=sr1.k, branch=sr1.branch)
+        # SR_0's saddle written under the stable SR_0's branch: two distinct
+        # orbits that share (k, branch) stay apart, so the stable one
+        # registers and the saddle is passed over.
+        stable, saddle = scan_srk(pp, 0, 0).orbits
+        assert (stable.stability, saddle.stability) == (
+            StabilityClass.ASYMPTOTICALLY_STABLE,
+            StabilityClass.SADDLE,
+        )
+        relabelled = dataclasses.replace(saddle, branch=stable.branch)
         registry_path = tmp_path / "registry.csv"
-        registry_path.write_text(orbits_to_csv([sr1, relabelled]))
+        registry_path.write_text(orbits_to_csv([relabelled, stable]))
         cfg = write_config(
             tmp_path,
             "basins.json",
@@ -610,7 +615,70 @@ class TestBasins:
         )
         assert main(["basins", "--config", cfg]) == EXIT_OK
         legend = (tmp_path / "basins_out" / "legend.csv").read_text().splitlines()
-        assert [row.split(",")[1] for row in legend[1:]] == ["sr1", "sr1"]
+        assert [row.split(",")[1] for row in legend[1:]] == ["sr0"]
+
+    @pytest.mark.parametrize(
+        "relabel, message",
+        [
+            (
+                {StabilityClass.SADDLE: StabilityClass.ASYMPTOTICALLY_STABLE},
+                "orbit k=0 branch 'plus' is labelled 'asymptotically-stable', "
+                "but its points are 'saddle'",
+            ),
+            (
+                {StabilityClass.ASYMPTOTICALLY_STABLE: StabilityClass.SADDLE},
+                "orbit k=0 branch 'minus' is labelled 'saddle', "
+                "but its points are 'asymptotically-stable'",
+            ),
+        ],
+        ids=["saddle-as-stable", "stable-as-saddle"],
+    )
+    def test_registry_csv_stability_label_is_checked(
+        self, pp, tmp_path, capsys, relabel, message
+    ):
+        # SR_0..SR_3 with one stability class written as another: a saddle
+        # labelled stable would register as a second sr0 attractor.
+        orbits = [
+            dataclasses.replace(orbit, stability=relabel.get(orbit.stability, orbit.stability))
+            for orbit in scan_srk(pp, 0, 3).orbits
+        ]
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text(orbits_to_csv(orbits))
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "basins_out"),
+                "basins": {"resolution": [12, 12], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"registry CSV inconsistent with params: {message}" in err
+        assert "Traceback" not in err and not (tmp_path / "basins_out").exists()
+
+    def test_registry_csv_period_other_than_k_plus_one_is_config_error(
+        self, pp, tmp_path, capsys
+    ):
+        # SR_0's row with k rewritten to 5 would name a fixed point sr5.
+        orbits = scan_srk(pp, 0, 3).orbits
+        renamed = [dataclasses.replace(orbit, k=5) if orbit.k == 0 else orbit for orbit in orbits]
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text(orbits_to_csv(renamed))
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "basins_out"),
+                "basins": {"resolution": [12, 12], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad registry CSV: orbit k=5 branch 'minus' has period 1, not k + 1" in err
+        assert "Traceback" not in err and not (tmp_path / "basins_out").exists()
 
     def test_write_labels_matches_labels_csv_of_the_raster(self, tmp_path):
         body = {

@@ -139,6 +139,99 @@ class TestEvalMap:
                 assert ay[i] == scalar.y
 
 
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _result_bits(values) -> list[int]:
+    """``_bits`` with every NaN as one NaN.  IEEE 754 leaves the sign of a
+    NaN result unspecified: the return piece at x = inf makes -NaN from
+    0 * inf, and a CPython float operation on two NaNs of opposite signs
+    returns one or the other, depending on whether its generic or its
+    specialised opcode runs."""
+    values = np.array(values, dtype=float)
+    values[np.isnan(values)] = math.nan
+    return _bits(values)
+
+
+def _mixed_batch(params: MapParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every pairing of special and ordinary coordinates: heights below h0,
+    at h0, inside the strip, at h1 and above it, with NaN, +-inf and +-0.0
+    in either coordinate."""
+    h0, h1 = params.h0, params.h1
+    xs = [-1.5, -0.0, 0.0, 0.3, 2.0, math.nan, math.inf, -math.inf]
+    ys = [
+        -2.0, -0.0, 0.0, 0.5 * h0, math.nextafter(h0, -math.inf), h0,
+        math.nextafter(h0, math.inf), 0.5 * (h0 + h1), math.nextafter(h1, -math.inf),
+        h1, math.nextafter(h1, math.inf), 1.4, 3.0, math.nan, math.inf, -math.inf,
+    ]
+    x, y = np.meshgrid(xs, ys)
+    return x.ravel(), y.ravel()
+
+
+class TestEvalMapArrays:
+    """``eval_map_arrays`` evaluates each piece only on its own rows, with
+    the bits of per-point ``eval_map``."""
+
+    @pytest.fixture(params=["pp", "np", "pn", "nn", "perturbed"])
+    def params(self, request, all_cases) -> MapParams:
+        if request.param == "perturbed":
+            return all_cases["pp"].replace(c1=0.1, c2=-0.3, d3=0.05, d4=0.05)
+        return all_cases[request.param]
+
+    @staticmethod
+    def assert_matches_scalar(params: MapParams, x: np.ndarray, y: np.ndarray) -> None:
+        x_in, y_in = x.copy(), y.copy()
+        with np.errstate(all="ignore"):
+            ax, ay = eval_map_arrays(params, x, y)
+        want = [eval_map(params, Point2(float(a), float(b))) for a, b in zip(x, y)]
+        assert _result_bits(ax) == _result_bits([p.x for p in want])
+        assert _result_bits(ay) == _result_bits([p.y for p in want])
+        assert _bits(x) == _bits(x_in) and _bits(y) == _bits(y_in)
+
+    def test_mixed_batch_bit_for_bit(self, params):
+        x, y = _mixed_batch(params)
+        self.assert_matches_scalar(params, x, y)
+
+    def test_empty_all_below_and_all_strip_batches(self, params):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-2.0, 2.0, size=50)
+        below = rng.uniform(-2.0, params.h0, size=50)
+        strip = rng.uniform(params.h0, params.h1, size=50)
+        strip[strip == params.h0] = 0.5 * (params.h0 + params.h1)
+        self.assert_matches_scalar(params, np.empty(0), np.empty(0))
+        self.assert_matches_scalar(params, x, below)
+        self.assert_matches_scalar(params, x, strip)
+
+    def test_pieces_see_only_their_rows(self, pp, monkeypatch):
+        import srklab.mapcore as mapcore
+
+        seen = {"return": [], "weight": []}
+        real_return, real_weight = mapcore.eval_return, mapcore.blend_weight
+
+        def recording_return(params, p):
+            seen["return"].extend(_bits(p.y))
+            return real_return(params, p)
+
+        def recording_weight(params, y):
+            seen["weight"].extend(_bits(y))
+            return real_weight(params, y)
+
+        monkeypatch.setattr(mapcore, "eval_return", recording_return)
+        monkeypatch.setattr(mapcore, "blend_weight", recording_weight)
+        x, y = _mixed_batch(pp)
+        with np.errstate(all="ignore"):
+            eval_map_arrays(pp, x, y)
+        above = [v for v in y.tolist() if not v <= pp.h0]
+        assert seen["return"] == _bits(above)
+        assert seen["weight"] == _bits([v for v in above if not v >= pp.h1])
+        assert 0 < len(seen["weight"]) < len(seen["return"]) < y.size
+
+        seen = {"return": [], "weight": []}
+        eval_map_arrays(pp, x, np.full(x.size, pp.h0))
+        assert seen == {"return": [], "weight": []}
+
+
 class TestJacobian:
     def test_origin_diagonal(self, pp):
         jac = jacobian(pp, Point2(0.0, 0.0))

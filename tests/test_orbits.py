@@ -462,10 +462,22 @@ class TestSingleWalk:
         monkeypatch.setattr(orbits, "eval_map", counting)
         return calls
 
-    def test_newton_maps_the_converged_orbit_once(self, pp, eval_map_calls):
+    @pytest.fixture
+    def map_step_calls(self, monkeypatch, eval_map_calls):
+        """``eval_map_calls`` with the ``eval_saddle`` steps of Newton's walk."""
+        import srklab.orbits as orbits
+
+        def counting(params, p):
+            eval_map_calls.append(p)
+            return eval_saddle(params, p)
+
+        monkeypatch.setattr(orbits, "eval_saddle", counting)
+        return eval_map_calls
+
+    def test_newton_maps_the_converged_orbit_once(self, pp, map_step_calls):
         orbit = newton_periodic(pp, Point2(0.512, 1.0), 4)
         assert orbit.residual <= 1e-12
-        assert len(eval_map_calls) == 4
+        assert len(map_step_calls) == orbit.period == 4
 
     def test_closed_form_takes_no_per_point_product(self, pp, monkeypatch):
         import srklab.orbits as orbits
