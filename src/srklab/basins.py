@@ -6,8 +6,12 @@ attractor's point set for one full period (guarding against slow passes
 near saddles).  Orbits exceeding the escape radius are divergent; orbits
 that exhaust the iteration budget are unknown.
 
-All per-point arithmetic is elementwise, so a cell's label depends only on
-its center point, not on which other cells share its batch.
+The running points are stepped in blocks: each pass maps them several
+steps (more the fewer of them run), then tests the whole block for escape
+and registry proximity at once.  All per-point arithmetic is elementwise
+and each point's first ending step in a block is the one it keeps, so a
+cell's label and its iteration count depend only on its center point, not
+on which other cells share its batch.
 """
 from __future__ import annotations
 
@@ -57,6 +61,9 @@ _CYCLE_MAX_PERIOD = 32
 _CYCLE_CLOSE_TOL = 1e-9
 _CYCLE_ON_TOL = 1e-7
 _CYCLE_CLEARANCE = 10.0
+
+# Point-steps the step loop maps before it does its bookkeeping once.
+_BLOCK_POINT_STEPS = 8192
 
 # Upper bound on the cells of one proximity prefilter table (1 MiB of bools).
 _TABLE_CELLS = 2**20
@@ -172,6 +179,9 @@ class IterationStats:
     mean_iterations: float = 0.0
     # Unknown cells retired early on an unregistered stable cycle, by period.
     cycle_cells: dict[int, int] = field(default_factory=dict)
+    # Unknown cells that ran the whole iteration budget; with the cycle
+    # cells they make up every unknown cell.
+    budget_spent: int = 0
 
 
 @dataclass
@@ -341,6 +351,13 @@ def _polish_cycle(
     return cycle, bool(stable and gap > clearance)
 
 
+def _first_of_each(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in ``keys``."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
 def classify_batch(
     params: MapParams,
     registry: AttractorRegistry,
@@ -355,11 +372,20 @@ def classify_batch(
     the step they stopped at as their count; when ``cycle_cells`` is
     given, it is incremented by the number of such cells per period.
 
-    Each step, ``_RegistryLookup.hits`` finds the registry point within
-    ``prox_tol`` (plus a relative 1e-12) of each running point: per-axis
-    occupancy tables, then one pair-key lookup, a strict distance test,
-    and the KD-tree only for pairs that two or more registry points share.
-    Only the hits update a point's candidate attractor and run length.
+    The running points are mapped in blocks of m steps, m about
+    _BLOCK_POINT_STEPS over their number (1 while many run), never more
+    than the steps run so far, and never past the next cycle check or
+    ``max_iter``.  Each block, held as (running, m) arrays, gets one
+    escape test, and ``_RegistryLookup.hits`` finds the registry point
+    within ``prox_tol`` (plus a relative 1e-12) of every entry before a
+    point's first escape: per-axis occupancy tables, then one pair-key
+    lookup, a strict distance test, and the KD-tree only for pairs that
+    two or more registry points share.  A segmented scan over the hits,
+    in (point, step) order, gives each point's runs on one attractor,
+    carried across blocks; a point ends at its first completed run or its
+    first escape, whichever comes first, with that step as its count.
+    Points that end inside a block are mapped to its end but never read,
+    so labels and counts do not depend on the batch.
     """
     if len(registry) == 0:
         raise ValueError("registry must contain at least one attractor")
@@ -378,37 +404,17 @@ def classify_batch(
     x = points[:, 0].astype(float).copy()
     y = points[:, 1].astype(float).copy()
     idx = np.arange(n)
+    # Length of the run each point is on after the last step, and its
+    # attractor (stale where the length is 0).
     candidate = np.full(n, -1, dtype=np.int64)
     run = np.zeros(n, dtype=np.int64)
 
-    def retire(done: np.ndarray, label, step: int) -> None:
-        """Give the running points in ``done`` their label and drop them."""
+    def drop(gone: np.ndarray) -> None:
+        """Drop the running points in ``gone``; their labels are set."""
         nonlocal x, y, idx, candidate, run
-        labels[idx[done]] = label
-        iters[idx[done]] = step
-        keep = ~done
+        keep = ~gone
         x, y, idx = x[keep], y[keep], idx[keep]
         candidate, run = candidate[keep], run[keep]
-
-    def check_escape(step: int) -> None:
-        """Retire points beyond the escape radius; NaN and inf escape too."""
-        escaped = ~((np.abs(x) <= radius) & (np.abs(y) <= radius))
-        if escaped.any():
-            retire(escaped, DIVERGENT, step)
-
-    def check_proximity(step: int) -> None:
-        """Update candidate/run at the hits; retire points that completed a period."""
-        hit, nearest = lookup.hits(x, y)
-        att = owner[nearest]
-        hit_run = np.where(att == candidate[hit], run[hit] + 1, 1)
-        candidate.fill(-1)
-        run.fill(0)
-        candidate[hit], run[hit] = att, hit_run
-        done = hit_run >= owner_period[nearest]
-        if done.any():
-            mask = np.zeros(x.size, dtype=bool)
-            mask[hit[done]] = True
-            retire(mask, att[done].astype(np.int32), step)
 
     def check_cycles(step: int) -> None:
         """Retire points sitting on a stable cycle outside the registry."""
@@ -435,21 +441,91 @@ def classify_batch(
         if on_cycle.any():
             for p, count in zip(*np.unique(period[on_cycle], return_counts=True)):
                 cycle_cells[int(p)] = cycle_cells.get(int(p), 0) + int(count)
-            retire(on_cycle, UNKNOWN, step)
+            labels[idx[on_cycle]] = UNKNOWN
+            iters[idx[on_cycle]] = step
+            drop(on_cycle)
 
-    check_escape(0)
-    check_proximity(0)
+    # Row i of a block holds running point i at steps first_step + offset,
+    # offset = 0 .. m - 1; the start points are a block of one step, step 0.
+    block_x, block_y = x[:, None], y[:, None]
+    m, first_step, step = 1, 0, 0
+    while True:
+        # The offset of each point's first escape, m when it stays inside;
+        # NaN and inf escape too.  Entries from there on are never read, so
+        # zeros stand in for them in the lookup, and their hits are dropped.
+        inside = (np.abs(block_x) <= radius) & (np.abs(block_y) <= radius)
+        escape = None
+        if not inside.all():
+            out = ~inside
+            out_point, out_offset = np.divmod(np.flatnonzero(out), m)
+            first_out = _first_of_each(out_point)
+            escape = np.full(idx.size, m)
+            escape[out_point[first_out]] = out_offset[first_out]
+            block_x[out] = block_y[out] = 0.0
+        hit, nearest = lookup.hits(block_x.ravel(), block_y.ravel())
+        block_x = block_y = None  # so that drop() frees the block
+        # The hits come in (point, step) order.  A hit continues the run of
+        # the entry before it when that is the same point one step earlier
+        # on the same attractor; a hit at offset 0 continues the run the
+        # point carries in (``run`` is 0 when it carries none).
+        point = hit // m
+        offset = hit - point * m
+        if escape is not None:
+            before = offset < escape[point]
+            hit, nearest, point, offset = hit[before], nearest[before], point[before], offset[before]
+        att = owner[nearest]
+        carried = np.where((offset == 0) & (candidate[point] == att), run[point], 0)
+        if m == 1:  # every hit is the first of its run
+            length = carried + 1
+        else:
+            cont = np.zeros(hit.size, dtype=bool)
+            cont[1:] = (hit[1:] - hit[:-1] == 1) & (offset[1:] > 0) & (att[1:] == att[:-1])
+            start = np.maximum.accumulate(np.where(cont, 0, np.arange(hit.size)))
+            length = np.arange(1, hit.size + 1) - start + carried[start]
+        # A point ends at its first completed run, or else at its first escape.
+        end = np.flatnonzero(length >= owner_period[nearest])
+        if m > 1:
+            end = end[_first_of_each(point[end])]
+        ended = point[end]
+        if escape is None:
+            gone = np.zeros(idx.size, dtype=bool)
+        else:
+            gone = escape < m
+            labels[idx[gone]] = DIVERGENT
+            iters[idx[gone]] = first_step + escape[gone]
+        labels[idx[ended]] = att[end]
+        iters[idx[ended]] = first_step + offset[end]
+        gone[ended] = True
+        last = offset == m - 1
+        candidate[point[last]] = att[last]
+        run.fill(0)
+        run[point[last]] = length[last]
+        if gone.any():
+            drop(gone)
 
-    for step in range(1, limits.max_iter + 1):
-        if idx.size == 0:
-            break
-        x, y = eval_map_arrays(params, x, y)
-        check_escape(step)
-        if idx.size == 0:
-            break
-        check_proximity(step)
-        if step % _CYCLE_CHECK_EVERY == 0 and step < limits.max_iter and idx.size:
+        if idx.size and step % _CYCLE_CHECK_EVERY == 0 and 0 < step < limits.max_iter:
             check_cycles(step)
+        if idx.size == 0 or step == limits.max_iter:
+            break
+        # A block is never longer than the steps run so far, so the steps
+        # mapped past a point's end never outnumber those before it.
+        m = min(
+            _CYCLE_CHECK_EVERY - step % _CYCLE_CHECK_EVERY,
+            limits.max_iter - step,
+            max(1, min(step, _BLOCK_POINT_STEPS // idx.size)),
+        )
+        # Points that escape inside the block are mapped on; their overflow
+        # is never read.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if m == 1:
+                x, y = eval_map_arrays(params, x, y)
+                block_x, block_y = x[:, None], y[:, None]
+            else:
+                block_x, block_y = np.empty((idx.size, m)), np.empty((idx.size, m))
+                for j in range(m):
+                    x, y = eval_map_arrays(params, x, y)
+                    block_x[:, j], block_y[:, j] = x, y
+        first_step, step = step + 1, step + m
 
     iters[idx] = limits.max_iter
     return labels, iters
@@ -511,6 +587,7 @@ def raster(
         max_iterations=int(iters.max()),
         mean_iterations=int(iters.sum()) / total,
         cycle_cells=dict(sorted(cycle_cells.items())),
+        budget_spent=int(((labels == UNKNOWN) & (iters == limits.max_iter)).sum()),
     )
     grid_labels = np.ascontiguousarray(labels.reshape(ny, nx).T)
     return BasinGrid(nx=nx, ny=ny, labels=grid_labels, stats=stats)

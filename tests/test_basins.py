@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -171,11 +174,15 @@ class TestEngineEquivalence:
         pts = np.column_stack([a.ravel() for a in np.meshgrid(xs, ys)])
         cycle_cells = {}
         labels, iters = classify_batch(params, registry, pts, limits, cycle_cells=cycle_cells)
-        expected, _ = reference_classify(params, registry, pts, limits)
+        expected, expected_iters = reference_classify(params, registry, pts, limits)
         assert np.array_equal(labels, expected)
         retired = (labels == UNKNOWN) & (iters < limits.max_iter)
         assert retired.any()
         assert sum(cycle_cells.values()) == int(retired.sum())
+        # Retirement changes only the retired cells' counts, each to a
+        # cycle-check step.
+        assert np.array_equal(iters[~retired], expected_iters[~retired])
+        assert np.all(iters[retired] % basins._CYCLE_CHECK_EVERY == 0)
 
     def test_registry_wins_over_retirement(self, pp, pp_registry):
         [sr8] = scan_srk(pp, 8, 8).stable_orbits()
@@ -235,6 +242,39 @@ class TestEngineEquivalence:
         hit_at_start = iters == 0
         at_tol = np.array([max(abs(dx), abs(dy)) == tol for dx, dy in offsets] * 2 + [False] * 2)
         assert np.array_equal(hit_at_start, at_tol)
+
+    def test_run_restarts_on_another_attractor(self, pp):
+        # Two period-2 stand-ins hold the 5th and 6th image of one start
+        # point, both inside the block of steps 5..8 of a lone point: its
+        # run on the first must not count toward the second.
+        q = Point2(0.3, 0.2)
+        images = [q]
+        for _ in range(6):
+            images.append(eval_map(pp, images[-1]))
+        registry = AttractorRegistry()
+        registry.add(pp, [Point2(1.0, 1.0)], label="fp")
+        for i, p in enumerate(images[5:], start=1):
+            registry.entries.append(
+                Attractor(i, f"p{i}", np.array([[p.x, p.y], [5.0, 5.0]]), 2, (i, 3, 3))
+            )
+        pts = np.array([[q.x, q.y]])
+        limits = ClassifyLimits(max_iter=50)
+        labels, iters = classify_batch(pp, registry, pts, limits)
+        expected, expected_iters = reference_classify(pp, registry, pts, limits)
+        assert np.array_equal(labels, expected)
+        assert np.array_equal(iters, expected_iters)
+        assert (labels[0], iters[0]) != (2, 6)
+
+    def test_no_hits_after_an_escape(self, pp):
+        # Below the strip pp maps (x, y) to (0.8 x, 1.25 y): the start point
+        # escapes at step 6, inside the block of steps 5..8 of a lone point.
+        # The steps after it must not complete a run on the saddle fixed
+        # point, registered here.
+        registry = AttractorRegistry()
+        registry.add(pp, [Point2(0.0, 0.0)], label="saddle")
+        pts = np.array([[0.5, -10.0 / 1.25**6 * (1 + 1e-6)]])
+        labels, iters = classify_batch(pp, registry, pts, ClassifyLimits(max_iter=50))
+        assert (labels[0], iters[0]) == (DIVERGENT, 6)
 
     @pytest.mark.parametrize("name", ["pp", "np"])
     def test_labels_match_scalar_reference_deep_registry(self, name):
@@ -368,6 +408,16 @@ class TestRaster:
         with pytest.raises(ValueError, match="threads"):
             raster(pp, pp_registry, WINDOW, 4, 4, threads=threads)
 
+    @pytest.mark.parametrize("max_iter", [20000, 700])
+    def test_unknown_cells_are_cycle_cells_or_budget_spent(self, max_iter):
+        params = EXAMPLE_CASES["pn"]
+        registry = AttractorRegistry.from_orbits(params, scan_srk(params, 0, 15).orbits)
+        stats = raster(params, registry, WINDOW, 40, 40, ClassifyLimits(max_iter=max_iter)).stats
+        assert stats.unknown == stats.budget_spent + sum(stats.cycle_cells.values())
+        assert stats.cycle_cells
+        # Cells that retire at step 1000 run out of a 700-step budget.
+        assert (stats.budget_spent > 0) == (max_iter == 700)
+
     def test_subsample_consistency(self, pp, pp_registry):
         # A cell's label depends only on its center point: classifying
         # the odd-index centers of a fine grid directly reproduces the
@@ -380,6 +430,109 @@ class TestRaster:
         direct, _ = classify_batch(pp, pp_registry, pts, limits)
         coarse = direct.reshape(20, 20).T  # meshgrid xy-order -> [ix, iy]
         assert np.array_equal(coarse, fine.labels[1::2, 1::2])
+
+
+def block_steps(iters: np.ndarray, max_iter: int) -> list[tuple[int, int]]:
+    """First and last step of each block that ``classify_batch`` maps after
+    step 0, rebuilt from the batch's counts: a point runs in every block up
+    to the one that holds its count."""
+    blocks, step = [], 0
+    while step < max_iter and (iters > step).any():
+        m = min(
+            basins._CYCLE_CHECK_EVERY - step % basins._CYCLE_CHECK_EVERY,
+            max_iter - step,
+            max(1, min(step, basins._BLOCK_POINT_STEPS // int((iters > step).sum()))),
+        )
+        blocks.append((step + 1, step + m))
+        step += m
+    return blocks
+
+
+class TestBatchIndependence:
+    """A point's label, count and cycle period do not depend on the points
+    that share its batch, so neither on the blocks it is stepped in."""
+
+    def test_alone_in_a_batch_and_in_a_raster(self, monkeypatch):
+        pn = EXAMPLE_CASES["pn"]
+        registry = AttractorRegistry.from_orbits(pn, scan_srk(pn, 0, 10).orbits)
+        # 743 is prime, so no block longer than one step divides it.
+        limits = ClassifyLimits(max_iter=743, prox_tol=1e-3)
+        # Start points that escape at these steps: the first and last steps
+        # of the blocks 5..8, 9..16 and 17..32 of a batch of up to 512
+        # points.  The last one escapes through the quadratic return piece,
+        # and its images overflow at step 25.  The saddle fixed point runs
+        # the whole budget.
+        escape_steps = [5, 8, 16, 17]
+        starts = [(0.0, -2.122875), (0.0, -2.072925), (-7.14285, 0.2997), (-9.3906, -0.274725)]
+        starts.append((0.0, 0.0))
+        xs, ys = grid_centers(WINDOW, 200, 200)
+        cells = np.column_stack((np.tile(xs, 200), np.repeat(ys, 200)))
+        rng = np.random.default_rng(7)
+        sample = rng.choice(len(cells), 300 - len(starts), replace=False)
+        pts = np.vstack([starts, cells[sample]])
+
+        blocks_seen = []
+        hits = basins._RegistryLookup.hits
+
+        def counted_hits(lookup, x, y):
+            blocks_seen[-1] += 1
+            return hits(lookup, x, y)
+
+        monkeypatch.setattr(basins._RegistryLookup, "hits", counted_hits)
+
+        def run(batch):
+            blocks_seen.append(0)
+            cycle_cells = {}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                labels, iters = classify_batch(pn, registry, batch, limits, cycle_cells)
+            blocks = block_steps(iters, limits.max_iter)
+            assert blocks_seen[-1] == len(blocks) + 1  # step 0 is a block too
+            return labels, iters, Counter(cycle_cells), blocks
+
+        alone = [run(pts[i : i + 1]) for i in range(len(pts))]
+        labels, iters, cycle_cells, blocks = run(pts)
+        assert np.array_equal(labels, np.concatenate([a[0] for a in alone]))
+        assert np.array_equal(iters, np.concatenate([a[1] for a in alone]))
+        assert cycle_cells == sum((a[2] for a in alone), Counter())
+        assert cycle_cells and (labels >= 0).any()
+        assert np.array_equal(iters[: len(escape_steps)], escape_steps)
+        assert np.all(labels[: len(escape_steps)] == DIVERGENT)
+        assert (labels[len(escape_steps)], iters[len(escape_steps)]) == (UNKNOWN, limits.max_iter)
+
+        raster_labels, raster_iters, raster_cycles, raster_blocks = run(cells)
+        big_labels, big_iters, big_cycles, big_blocks = run(np.vstack([cells, pts]))
+        assert big_blocks[:3] == [(1, 1), (2, 2), (3, 3)]
+        assert np.array_equal(big_labels, np.concatenate([raster_labels, labels]))
+        assert np.array_equal(big_iters, np.concatenate([raster_iters, iters]))
+        assert big_cycles == raster_cycles + cycle_cells
+
+        runs = [(iters, labels, blocks)] + [(a[1], a[0], a[3]) for a in alone]
+        # Blocks longer than one step, and the last one cut short by max_iter.
+        lengths = {last - first + 1 for _, _, b in runs for first, last in b}
+        assert max(lengths) > 1
+        assert all(limits.max_iter % m for m in lengths if m > 1)
+        assert any(b[-1][1] == limits.max_iter for _, _, b in runs)
+        # Escapes on the first step and on the last step of a longer block.
+        for end in (0, 1):
+            assert any(
+                set(it[lab == DIVERGENT]) & {block[end] for block in b if block[0] < block[1]}
+                for it, lab, b in runs
+            )
+        # A registry run that starts in one block and completes in the next.
+        period = np.array([e.period for e in registry.entries])
+        done = labels >= 0
+        first_steps = np.array([first for first, _ in blocks])
+        start_block = np.searchsorted(first_steps, iters[done] - period[labels[done]] + 1, "right")
+        assert (start_block < np.searchsorted(first_steps, iters[done], "right")).any()
+        # The fourth start point escapes mid-block, and the rest of that
+        # block overflows.
+        block = next(b for b in blocks if b[0] <= iters[3] < b[1])
+        x, y = pts[3:4, 0], pts[3:4, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(block[1]):
+                x, y = basins.eval_map_arrays(pn, x, y)
+        assert not np.isfinite(x[0] + y[0])
 
 
 class TestDoubleRound:
