@@ -164,6 +164,10 @@ def load_config(path: str, expected_section: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config is not UTF-8 text: {err}") from err
+    except RecursionError as err:
+        raise ConfigError("config is nested too deeply to parse") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(raw) - _TOP_KEYS)
@@ -315,11 +319,11 @@ def cmd_basins(config: ExperimentConfig) -> int:
         result = scan_srk(config.params, section["k_min"], section["k_max"])
         registry = AttractorRegistry.from_orbits(config.params, result.orbits)
     else:
-        with open(section["registry"], "r", encoding="utf-8") as fh:
-            text = fh.read()  # an OSError here is an I/O failure, exit 3
         try:
+            with open(section["registry"], "r", encoding="utf-8") as fh:
+                text = fh.read()  # an OSError here is an I/O failure, exit 3
             rows = orbits_from_csv(text)
-        except ValueError as err:
+        except ValueError as err:  # UnicodeDecodeError among them
             raise ConfigError(f"bad registry CSV: {err}") from err
         registry = AttractorRegistry()
         # Registered orbits by point set: an orbit listed twice, in any

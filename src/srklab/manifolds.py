@@ -2,11 +2,12 @@
 
 The unstable manifold is grown by mapping a fundamental segment of the
 local unstable axis forward.  Every seed of every generation, refinement
-midpoints included, walks from generation 0.  Those walks, and the seed
-re-walks of tangency sharpening, start with the saddle passage: while
-the walk lies below the switching strip, f is the linear saddle piece,
-so they step by ``eval_saddle`` alone and take only the steps after it
-through the full map.
+midpoints included, walks from generation 0 as one batch.  That walk
+starts with the saddle passage: while the whole batch lies below the
+switching strip, f is the linear saddle piece, so it steps by
+``eval_saddle`` alone and takes only the steps after it through the
+full map.  The one-seed re-walks of tangency sharpening step by
+``eval_map`` alone, which picks the saddle piece itself.
 The stable set is grown backwards as a preimage tree, branching over the
 analytic inverses of the two map pieces and a Newton inverse inside the
 blend strip (the map is non-invertible, so the stable set has several
@@ -604,18 +605,10 @@ def _golden_min(fun, lo: float, hi: float, tol: float) -> float:
 
 
 def _reiterate(params: MapParams, t: float, generation: int) -> Point2:
-    """f^generation of the axis seed (0, t) in plain floats.
-
-    Like ``_iterate_seeds`` it starts with the saddle passage, stepping by
-    ``eval_saddle`` while the point is below the strip (``region_of``'s
-    LOWER test), then takes the steps that remain through ``eval_map``.
-    """
+    """f^generation of the axis seed (0, t) in plain floats, one
+    ``eval_map`` call per step."""
     p = Point2(0.0, t)
-    steps = generation
-    while steps > 0 and p.y <= params.h0:
-        p = eval_saddle(params, p)
-        steps -= 1
-    for _ in range(steps):
+    for _ in range(generation):
         p = eval_map(params, p)
     return p
 

@@ -3,13 +3,16 @@
 Each formula of the map is written here once.  The piece functions
 (``eval_saddle``, ``eval_return``, ``blend_weight``, ``blend``) use plain
 operators, so they take a ``Point2`` of floats or of numpy arrays alike.
-``eval_map`` and ``eval_map_arrays`` select among the same piece
-functions, one point at a time or by region, so rasters and manifold
-tracing can batch-iterate large point sets with scalar results.
-``eval_map_arrays`` evaluates each piece only on the rows it applies to
-(most rows of a basin step lie below the strip, where f is the saddle
-piece), with the same bits as evaluating every piece on every row;
-``jacobian`` and ``jacobian_arrays`` select the Jacobian by region masks.
+The piece rule lives here too: at or below h0 the saddle piece, else at
+or above h1 the return piece, else (a NaN height among them) the blend.
+``eval_map`` and ``jacobian`` apply it to one point with two
+comparisons, and every scalar map step of the lab goes through them;
+``eval_map_arrays`` and ``jacobian_arrays`` apply it row by row, so
+rasters and manifold tracing can batch-iterate large point sets with
+scalar results.  ``eval_map_arrays`` evaluates each piece only on the
+rows it applies to (most rows of a basin step lie below the strip),
+with the same bits as evaluating every piece on every row.
+``region_of`` names a height's region for itinerary reports.
 """
 from __future__ import annotations
 
@@ -194,10 +197,9 @@ def region_of(params: MapParams, y: float) -> Region:
 
 
 def eval_map(params: MapParams, p: Point2) -> Point2:
-    region = region_of(params, p.y)
-    if region is Region.LOWER:
+    if p.y <= params.h0:
         return eval_saddle(params, p)
-    if region is Region.UPPER:
+    if p.y >= params.h1:
         return eval_return(params, p)
     return blend(blend_weight(params, p.y), eval_saddle(params, p), eval_return(params, p))
 
@@ -223,10 +225,9 @@ def jacobian(params: MapParams, p: Point2) -> Jacobian2:
     times the difference of the two pieces; at y=h0 and y=h1 that term
     vanishes, so the one-sided limits agree with the pure pieces.
     """
-    region = region_of(params, p.y)
-    if region is Region.LOWER:
+    if p.y <= params.h0:
         return _saddle_jacobian(params)
-    if region is Region.UPPER:
+    if p.y >= params.h1:
         return _return_jacobian(params, p)
     return _strip_jacobian(params, p)
 

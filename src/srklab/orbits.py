@@ -298,30 +298,28 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
     must not increase, so the rows still walking at step j (those with
     k >= j) form a prefix.
 
-    Step j applies the scalar expressions elementwise: point j is the
-    saddle piece's image (lam*x, sigma*y) of point j - 1, and the period
-    Jacobian takes one saddle factor in the form ``Jacobian2.matmul``
-    gives it, after the return Jacobian at the above-strip point.  So
-    every value equals the one-point walk and ``orbit_jacobian`` over the
-    points bit for bit; the 0.0 terms keep their signed zeros and NaNs.
+    Step j applies the scalar expressions elementwise: point j is
+    ``eval_saddle`` of point j - 1, and the period Jacobian takes one
+    saddle factor in the form ``Jacobian2.matmul`` gives it, after the
+    return Jacobian at the above-strip point.  So every value equals the
+    one-point walk and ``orbit_jacobian`` over the points bit for bit;
+    the 0.0 terms keep their signed zeros and NaNs.
     Every point is recorded, (k_max + 1) x candidates x 16 bytes while
     the scan runs, and the itinerary is checked on each: point 0 must lie
     at or above h1, points 1..k at or below h0.
     """
     n = len(ks)
     k_max = ks[0] if n else 0
-    lam, sigma = params.lam, params.sigma
     # Point j of every candidate is record[j]: its x row, then its y row.
     record = np.empty((k_max + 1, 2, n))
     xs, ys = record[:, 0], record[:, 1]
     record[0] = np.fromiter(chain.from_iterable(ups), float, 2 * n).reshape(n, 2).T
     up = Point2(xs[0], ys[0])
-    pt_scale = np.array([[lam], [sigma]])
     # Rows a, b, d, c of each candidate's Jacobian product: reversed,
     # each entry meets the one its 0.0 term reads.  Step j updates the
     # prefix in place, so a row keeps its values from its last step.
     jac = np.empty((4, n))
-    jac_scale = np.array([[lam], [lam], [sigma], [sigma]])
+    jac_scale = np.array([[params.lam], [params.lam], [params.sigma], [params.sigma]])
     with np.errstate(all="ignore"):
         # A candidate whose first point is not above the strip fails its
         # itinerary, so the return piece's values stand for every row.
@@ -334,7 +332,9 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
             while ks[live - 1] < j:
                 live -= 1
             if j > 1:
-                np.multiply(record[j - 1, :, :live], pt_scale, out=record[j, :, :live])
+                xs[j, :live], ys[j, :live] = eval_saddle(
+                    params, Point2(xs[j - 1, :live], ys[j - 1, :live])
+                )
             prefix = jac[:, :live]
             zero = prefix[::-1] * 0.0
             prefix *= jac_scale
@@ -378,18 +378,13 @@ def assemble_orbit(
 def _cycle_and_residual(
     params: MapParams, p: Point2, period: int
 ) -> tuple[list[Point2], Point2]:
-    """The orbit [p, ..., f^(period-1)(p)] and its closing image f^period(p).
-
-    A point below the strip (``region_of``'s LOWER test) steps by
-    ``eval_saddle``, the piece ``eval_map`` would select there; every
-    other point steps by ``eval_map``.  So each of the ``period`` steps
-    makes one call, with ``eval_map``'s bits.  Raises ``EscapeError``
-    when the closing gap is not finite.
+    """The orbit [p, ..., f^(period-1)(p)] and its closing image f^period(p),
+    one ``eval_map`` call per step.  Raises ``EscapeError`` when the
+    closing gap is not finite.
     """
     pts = [p]
     for _ in range(period):
-        q = pts[-1]
-        pts.append(eval_saddle(params, q) if q.y <= params.h0 else eval_map(params, q))
+        pts.append(eval_map(params, pts[-1]))
     closing = pts.pop()
     if not (math.isfinite(closing.x - p.x) and math.isfinite(closing.y - p.y)):
         raise EscapeError(at_step=period)

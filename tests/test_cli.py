@@ -99,6 +99,19 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["find-orbits", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps({"params": PP_PARAMS, "orbits": {}}).encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        assert main(["find-orbits", "--config", str(path)]) == EXIT_CONFIG
+        assert "config is not UTF-8 text" in capsys.readouterr().err
+
+    def test_config_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"params": ' + "[" * 100_000 + "]" * 100_000 + ', "orbits": {}}')
+        assert main(["find-orbits", "--config", str(path)]) == EXIT_CONFIG
+        assert "config is nested too deeply" in capsys.readouterr().err
+
     def test_bad_param_key(self, tmp_path, capsys):
         params = dict(PP_PARAMS)
         params["lambduh"] = 0.5
@@ -499,6 +512,21 @@ class TestBasins:
             },
         )
         assert main(["basins", "--config", cfg]) == EXIT_IO
+
+    def test_non_utf8_registry_csv_is_config_error(self, pp, tmp_path, capsys):
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_bytes(orbits_to_csv(scan_srk(pp, 0, 3).orbits).encode("utf-16"))
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "out"),
+                "basins": {"resolution": [8, 8], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        assert "bad registry CSV: 'utf-8' codec can't decode" in capsys.readouterr().err
 
     def test_nan_registry_row_is_config_error(self, tmp_path, capsys):
         registry_path = tmp_path / "registry.csv"

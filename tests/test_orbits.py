@@ -462,22 +462,21 @@ class TestSingleWalk:
         monkeypatch.setattr(orbits, "eval_map", counting)
         return calls
 
-    @pytest.fixture
-    def map_step_calls(self, monkeypatch, eval_map_calls):
-        """``eval_map_calls`` with the ``eval_saddle`` steps of Newton's walk."""
-        import srklab.orbits as orbits
-
-        def counting(params, p):
-            eval_map_calls.append(p)
-            return eval_saddle(params, p)
-
-        monkeypatch.setattr(orbits, "eval_saddle", counting)
-        return eval_map_calls
-
-    def test_newton_maps_the_converged_orbit_once(self, pp, map_step_calls):
+    def test_newton_maps_the_converged_orbit_once(self, pp, eval_map_calls):
         orbit = newton_periodic(pp, Point2(0.512, 1.0), 4)
         assert orbit.residual <= 1e-12
-        assert len(map_step_calls) == orbit.period == 4
+        assert len(eval_map_calls) == orbit.period == 4
+
+    def test_newton_takes_every_step_through_eval_map(self, all_cases, eval_map_calls):
+        # From an exact SR_k point, below the strip too: k of each walk's
+        # k + 1 steps lie there.
+        for params in all_cases.values():
+            found = [o for o in scan_srk(params, 0, 30).orbits if o.method == "closed-form"]
+            assert len(found) >= 10
+            for orbit in found:
+                eval_map_calls.clear()
+                newton_periodic(params, orbit.points[0], orbit.period)
+                assert eval_map_calls and len(eval_map_calls) % orbit.period == 0
 
     def test_closed_form_takes_no_per_point_product(self, pp, monkeypatch):
         import srklab.orbits as orbits

@@ -72,3 +72,22 @@ def test_install_wraps_existing_names_and_uninstall_restores_them(spans):
     for module, names in zip(MODULES, before):
         assert vars(module).keys() == names.keys()
         assert all(vars(module)[name] is value for name, value in names.items())
+
+
+def test_traced_map_steps_count_every_step(spans):
+    # Newton's walk and the tangency re-walk step by eval_map alone, below
+    # the strip too, so mapcore.eval_map counts every step they take.
+    pp = EXAMPLE_CASES["pp"]
+    orbit = scan_srk(pp, 12, 12).orbits[0]
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        srklab.orbits.newton_periodic(pp, orbit.points[0], orbit.period)
+        with tracer.span("manifolds.detect_tangencies") as rewalk:
+            srklab.manifolds._reiterate(pp, 1e-4, 10)
+    finally:
+        uninstall()
+    [solve] = [rec for rec in tracer.spans if rec["name"] == "orbits.newton_periodic"]
+    calls = solve["leaves"]["mapcore.eval_map"][0]
+    assert calls > 0 and calls % orbit.period == 0
+    assert rewalk["leaves"]["mapcore.eval_map"][0] == 10
