@@ -8,10 +8,10 @@ that exhaust the iteration budget are unknown.
 
 The running points are stepped in blocks: each pass maps them several
 steps (more the fewer of them run), then tests the whole block for escape
-and registry proximity at once.  All per-point arithmetic is elementwise
-and each point's first ending step in a block is the one it keeps, so a
-cell's label and its iteration count depend only on its center point, not
-on which other cells share its batch.
+and for registry proximity (a run table per axis, then a pair-key lookup)
+at once.  All per-point arithmetic is elementwise and each point's first
+ending step in a block is the one it keeps, so a cell's label and its
+iteration count depend only on its center point, not on its batch.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import colorsys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidWindowError, SrkLabError
 from .mapcore import Point2, Rect, eval_map, eval_map_arrays
@@ -65,9 +64,10 @@ _CYCLE_CLEARANCE = 10.0
 # Point-steps the step loop maps before it does its bookkeeping once.
 _BLOCK_POINT_STEPS = 8192
 
-# Upper bound on the cells of one proximity prefilter table (1 MiB of bools).
+# Upper bound on the cells of one proximity run table: 1 MiB while it has at
+# most 255 runs (one byte a cell), 2 MiB up to 65,535.
 _TABLE_CELLS = 2**20
-# Entries of the component-pair lookup that name no single registry point.
+# Entries of the run-pair lookup that name no single registry point.
 _AMBIGUOUS = -1  # two or more registry points share the pair
 _NO_POINT = -2  # no registry point has the pair
 
@@ -193,7 +193,7 @@ class BasinGrid:
 
 
 class _AxisTable:
-    """Occupancy table of one axis, split into components: the proximity prefilter.
+    """Run table of one axis: the proximity prefilter.
 
     The axis is cut into cells of width h from ``lo``; a cell is marked when
     it lies within one cell of [c - bound, c + bound] for some registry
@@ -201,19 +201,17 @@ class _AxisTable:
     monotone in t and off by far less than a cell (h is at least 2**20 ulps
     of the largest coordinate), so the one-cell margin marks the cell of
     every v with |v - c| <= bound for some c: the table flags a superset of
-    the KD-tree's hits, never a miss.  ``coords`` need not be sorted.  The
-    first and last cells stay unmarked, so clipped out-of-range values read
-    False.  At most _TABLE_CELLS + 8 cells, whatever ``bound`` is; a bound
-    so near the float limit that the cell indices would overflow gives a
-    one-cell table that flags every finite value.
+    the KD-tree's hits, never a miss.  ``coords`` need not be sorted.  At
+    most _TABLE_CELLS + 8 cells, whatever ``bound`` is; a bound so near the
+    float limit that the cell indices would overflow gives a one-cell table
+    that flags every finite value.
 
-    Each run of marked cells is a component; ``starts`` holds the first
-    cell of each run, in order.  A cell's component is the number of run
-    starts at or before it (``component``), counted from 1, and ``comp``
-    holds the component of each registry coordinate.  Since the marked
-    cells around c form one interval, every v within ``bound`` of c lies in
-    c's component.  The one-cell table is one component holding every
-    coordinate.
+    ``runs`` holds, for each cell, the number of its run of marked cells
+    (1, 2, ... in axis order), or 0 when the cell is unmarked; ``comp``
+    holds the run of each registry coordinate.  Since the marked cells
+    around c form one interval, every v within ``bound`` of c reads c's
+    run.  The first and last cells read 0, so clipped out-of-range values
+    do too.  The one-cell table is one run holding every coordinate.
     """
 
     def __init__(self, coords: np.ndarray, bound: float) -> None:
@@ -224,73 +222,75 @@ class _AxisTable:
             self.lo = low - 4 * h
             fits = np.isfinite(high + 4 * h - self.lo)
         if not fits:
-            self.lo, self.inv_h, self.cells = 0.0, 0.0, np.ones(1, dtype=bool)
-            self.starts = np.zeros(1, dtype=np.intp)
+            self.lo, self.inv_h, self.runs = 0.0, 0.0, np.ones(1, dtype=np.uint8)
         else:
             self.inv_h = 1.0 / h
             size = int((high - low) * self.inv_h) + 8
             first = np.floor((coords - bound - self.lo) * self.inv_h).astype(np.intp) - 1
             last = np.floor((coords + bound - self.lo) * self.inv_h).astype(np.intp) + 1
-            count = np.zeros(size, dtype=np.int32)
-            np.add.at(count, first, 1)
-            np.add.at(count, last + 1, -1)
-            self.cells = np.cumsum(count, out=count) > 0
             # Merge the marked intervals: one starts a new run when it begins
             # past the cell after the furthest end of those before it.
             order = np.argsort(first)
-            first, reach = first[order], np.maximum.accumulate(last[order])
-            self.starts = first[np.r_[True, first[1:] > reach[:-1] + 1]]
-        self.comp = self.component(self.cell(coords))
+            first, last = first[order], last[order]
+            run = np.cumsum(np.r_[True, first[1:] > np.maximum.accumulate(last)[:-1] + 1])
+            self.runs = np.zeros(size, dtype=np.min_scalar_type(run[-1]))
+            # h >= bound / 2, so an interval spans at most 8 cells.
+            for offset in range(int((last - first).max()) + 1):
+                self.runs[np.minimum(first + offset, last)] = run
+        self.comp = self.runs[self.cell(coords)]
 
     def cell(self, v: np.ndarray) -> np.ndarray:
         """Cell index of each finite v, clipped to the table."""
-        return np.clip((v - self.lo) * self.inv_h, 0, self.cells.size - 1).astype(np.intp)
+        return np.clip((v - self.lo) * self.inv_h, 0, self.runs.size - 1).astype(np.intp)
 
-    def component(self, cell: np.ndarray) -> np.ndarray:
-        """Component of each marked cell."""
-        return np.searchsorted(self.starts, cell, side="right")
+
+def cKDTree(data: np.ndarray):
+    """scipy's KD-tree over ``data``; scipy is imported on the first call."""
+    from scipy.spatial import cKDTree as tree
+
+    return tree(data)
 
 
 class _RegistryLookup:
     """The registry point within ``bound`` of each point, in the max norm.
 
     ``hits`` answers what ``cKDTree(reg_pts).query(..., k=1, p=np.inf,
-    distance_upper_bound=bound)`` answers, row by row.  One occupancy
-    table lookup per axis (``_AxisTable``) drops the points that are not
-    near a registry coordinate on both axes.  A survivor's components on
-    the two axes form a pair key, looked up in the sorted keys of the
-    registry points' pairs.  Any registry point within ``bound`` of the
-    survivor shares its pair, so a pair that holds no point is a miss, and
-    a pair that holds one point q is a hit exactly when
-    max(|x - qx|, |y - qy|) < bound (strict, as the tree's bound is).
-    Only survivors in pairs that two or more points share go to the
-    KD-tree, which settles ties.
+    distance_upper_bound=bound)`` answers, row by row.  One run table
+    lookup per axis (``_AxisTable``) drops the points that are not near a
+    registry coordinate on both axes.  A survivor's runs on the two axes
+    form a pair key, looked up in the sorted keys of the registry points'
+    pairs.  Any registry point within ``bound`` of the survivor shares its
+    pair, so a pair that holds no point is a miss, and a pair that holds
+    one point q is a hit exactly when max(|x - qx|, |y - qy|) < bound
+    (strict, as the tree's bound is).  Only survivors in pairs that two or
+    more points share go to the KD-tree, which settles ties; it is built
+    only when such a pair exists.
     """
 
     def __init__(self, reg_pts: np.ndarray, bound: float) -> None:
-        self.tree = cKDTree(reg_pts)
         self.bound = bound
         self.reg_x, self.reg_y = reg_pts[:, 0].copy(), reg_pts[:, 1].copy()
         self.table_x = _AxisTable(self.reg_x, bound)
         self.table_y = _AxisTable(self.reg_y, bound)
         # Pair keys, sorted, and the one registry point of each (or
         # _AMBIGUOUS); a trailing key above every pair key holds _NO_POINT.
-        self.span = self.table_y.starts.size + 1
+        self.span = int(self.table_y.runs.max()) + 1
         keys, first, count = np.unique(
-            self.table_x.comp * self.span + self.table_y.comp,
+            self.table_x.comp.astype(np.int64) * self.span + self.table_y.comp,
             return_index=True,
             return_counts=True,
         )
         self.keys = np.append(keys, np.iinfo(np.int64).max)
         self.pair_point = np.append(np.where(count == 1, first, _AMBIGUOUS), _NO_POINT)
+        self.tree = cKDTree(reg_pts) if (count > 1).any() else None
 
     def hits(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the finite points (x, y) within ``bound`` of a registry
         point, ascending, and the index of that registry point."""
         table_x, table_y = self.table_x, self.table_y
-        cell_x, cell_y = table_x.cell(x), table_y.cell(y)
-        maybe = np.flatnonzero(table_x.cells[cell_x] & table_y.cells[cell_y])
-        key = table_x.component(cell_x[maybe]) * self.span + table_y.component(cell_y[maybe])
+        run_x, run_y = table_x.runs[table_x.cell(x)], table_y.runs[table_y.cell(y)]
+        maybe = np.flatnonzero(np.logical_and(run_x, run_y))
+        key = run_x[maybe].astype(np.int64) * self.span + run_y[maybe]
         pos = np.searchsorted(self.keys, key)
         point = self.pair_point[pos]
         # A key missing from ``keys`` reads another pair's entry.  A single
@@ -378,7 +378,7 @@ def classify_batch(
     ``max_iter``.  Each block, held as (running, m) arrays, gets one
     escape test, and ``_RegistryLookup.hits`` finds the registry point
     within ``prox_tol`` (plus a relative 1e-12) of every entry before a
-    point's first escape: per-axis occupancy tables, then one pair-key
+    point's first escape: per-axis run tables, then one pair-key
     lookup, a strict distance test, and the KD-tree only for pairs that
     two or more registry points share.  A segmented scan over the hits,
     in (point, step) order, gives each point's runs on one attractor,

@@ -48,6 +48,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 _LIMITS = ClassifyLimits()
+# Most cells a basin raster may have: a raster peaks at about 106 bytes a
+# cell, so 2**24 cells take about 1.8 GB.
+_MAX_RASTER_CELLS = 2**24
 
 # Every key of every command section as (kind, bound, default); _EXPECTED
 # says what each kind accepts.
@@ -87,7 +90,7 @@ _EXPECTED = {
     "bool": "true or false",
     "str": "a string",
     "rect": "a non-empty [xmin, xmax, ymin, ymax] of finite numbers",
-    "resolution": "[nx, ny] with integers >= {}",
+    "resolution": f"[nx, ny] with integers >= {{}} and nx * ny <= {_MAX_RASTER_CELLS}",
     "perturbations": "a list of non-empty {{param: finite number}} objects",
 }
 _TOP_KEYS = {"params", "output_dir", *_SCHEMA}
@@ -119,6 +122,7 @@ def _check_value(kind: str, bound: Any, value: Any, key: str) -> Any:
     elif kind == "resolution":
         ok = isinstance(value, list) and len(value) == 2
         ok = ok and all(type(v) is int and v >= bound for v in value)
+        ok = ok and value[0] * value[1] <= _MAX_RASTER_CELLS
     else:  # perturbations; MapParams.replace checks the parameter names
         ok = isinstance(value, list) and all(
             isinstance(e, dict) and e and all(map(_finite, e.values())) for e in value

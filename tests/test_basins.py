@@ -303,7 +303,7 @@ class TestEngineEquivalence:
 
 
 class TestAxisTable:
-    """The occupancy table flags every value the exact axis test flags."""
+    """The run table flags every value the exact axis test flags."""
 
     @pytest.mark.parametrize("prox_tol", [2.0**-60, 2.0**-40, 2.0**-17, 1e-5, 1e-3, 0.5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -315,12 +315,12 @@ class TestAxisTable:
         coords = np.concatenate([coords, coords[:10], [-0.8, 0.0, -0.0, 1.5]])  # with duplicates
         # Coordinates on cell edges: new interior coordinates leave the cells as they are.
         plain = basins._AxisTable(coords, bound)
-        on_edge = plain.lo + rng.integers(0, plain.cells.size, 20) / plain.inv_h
+        on_edge = plain.lo + rng.integers(0, plain.runs.size, 20) / plain.inv_h
         coords = np.sort(np.concatenate([coords, on_edge[(on_edge > -0.8) & (on_edge < 1.5)]]))
         table = basins._AxisTable(coords, bound)
         assert (table.lo, table.inv_h) == (plain.lo, plain.inv_h)
-        assert table.cells.size <= basins._TABLE_CELLS + 8
-        assert not table.cells[0] and not table.cells[-1]
+        assert table.runs.size <= basins._TABLE_CELLS + 8
+        assert table.runs[0] == 0 and table.runs[-1] == 0
 
         edges = np.concatenate([coords - bound, coords + bound, coords])
         steps = [edges]
@@ -328,7 +328,7 @@ class TestAxisTable:
         for _ in range(4):  # the next few doubles either side
             up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
             steps += [up, down]
-        cells = table.lo + np.arange(table.cells.size) / table.inv_h  # cell edges
+        cells = table.lo + np.arange(table.runs.size) / table.inv_h  # cell edges
         values = np.concatenate(steps + [
             cells[rng.integers(0, cells.size, 2000)],
             coords[rng.integers(0, coords.size, 4000)] + rng.uniform(-3, 3, 4000) * bound,
@@ -337,7 +337,7 @@ class TestAxisTable:
         ])
         exact = np.abs(values[:, None] - coords).min(axis=1) <= bound
         assert exact.any()
-        assert np.all(table.cells[table.cell(values)][exact])
+        assert np.all(table.runs[table.cell(values)][exact] > 0)
 
     def test_tolerance_near_float_limit(self, pp, pp_registry):
         # Past about 5e307 the cell indices would overflow and the table flags
@@ -351,7 +351,7 @@ class TestAxisTable:
         want = classify_batch(pp, pp_registry, pts, ClassifyLimits(max_iter=50, prox_tol=1e300))
         for prox_tol in (1e307, 5e307, 1e308, 1.7e308):
             table = basins._AxisTable(coords, prox_tol * (1.0 + 1e-12))
-            assert np.all(table.cells[table.cell(values)])
+            assert np.all(table.runs[table.cell(values)] > 0)
             got = classify_batch(pp, pp_registry, pts, ClassifyLimits(max_iter=50, prox_tol=prox_tol))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -360,7 +360,7 @@ class TestAxisTable:
         coords = np.sort(np.random.default_rng(3).uniform(-0.8, 1.5, 200))
         table = basins._AxisTable(coords, 1e-5)
         values = np.random.default_rng(4).uniform(-10.0, 10.0, 10000)
-        assert table.cells[table.cell(values)].mean() < 0.01
+        assert (table.runs[table.cell(values)] > 0).mean() < 0.01
 
 
 class TestRaster:

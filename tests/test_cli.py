@@ -7,6 +7,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -824,6 +826,60 @@ class TestBasins:
         )
         assert main(["basins", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("resolution", [[2, 2**45], [2, 2**62], [4097, 4096]])
+    def test_resolution_too_large_to_allocate_rejected(self, tmp_path, capsys, resolution):
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "out"),
+                "basins": {"resolution": resolution, "k_max": 3},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "nx * ny <= 16777216" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_resolution_accepted(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {"params": PP_PARAMS, "basins": {"resolution": [4096, 4096]}},
+        )
+        assert load_config(cfg, "basins").section["resolution"] == [4096, 4096]
+
+
+# Runs pp's shipped commands in a fresh interpreter and prints whether scipy
+# got imported; argv is the output directory and the config directory.
+_NO_SCIPY_SCRIPT = """
+import json, os, sys
+from srklab.cli import main
+out, configs = sys.argv[1], sys.argv[2]
+basins = json.load(open(os.path.join(configs, "basins.json")))
+basins["basins"]["resolution"] = [40, 40]
+with open(os.path.join(out, "basins.json"), "w") as fh:
+    json.dump(basins, fh)
+runs = [("find-orbits", "orbits"), ("check-theory", "theory"), ("manifolds", "manifolds")]
+codes = [main([cmd, "--config", os.path.join(configs, name + ".json"), "--out", out])
+         for cmd, name in runs]
+codes.append(main(["basins", "--config", os.path.join(out, "basins.json"), "--out", out]))
+print(codes, "scipy" in sys.modules)
+"""
+
+
+def test_shipped_pp_commands_never_import_scipy(tmp_path):
+    # scipy serves only the KD-tree of a registry with a shared run pair, and
+    # no shipped config has one.
+    env = {**os.environ, "PYTHONPATH": str(CONFIG_DIR.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path), str(CONFIG_DIR / "pp")],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}, {EXIT_OK}] False"
+    assert (tmp_path / "basins.ppm").read_bytes().startswith(b"P6\n40 40\n255\n")
 
 class TestReproducibility:
     def test_orbit_outputs_byte_identical(self, tmp_path):

@@ -2,8 +2,8 @@
 
 ``basins._RegistryLookup.hits`` must give, row by row, the hit set and
 nearest registry point of ``cKDTree(reg).query(q, k=1, p=np.inf,
-distance_upper_bound=bound)``, and ``classify_batch`` must leave the tree
-alone on the shipped basin configs, whose registry pairs are all single.
+distance_upper_bound=bound)``, and ``classify_batch`` must not even build
+the tree on the shipped basin configs, whose registry pairs are all single.
 """
 from __future__ import annotations
 
@@ -94,11 +94,11 @@ class TestEquivalence:
         bound = 1e-5 * (1.0 + 1e-12)
         hit = assert_lookup_matches_tree(reg, bound, queries(rng, reg, bound))
         assert hit.size > 1000
-        assert counting_tree.trees == 1 and counting_tree.rows == 0
+        assert counting_tree.trees == 0 and counting_tree.rows == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_close_pairs_go_to_tree(self, seed, counting_tree):
-        # Pairs closer than 2 * bound (and exact duplicates) share a component
+        # Pairs closer than 2 * bound (and exact duplicates) share a run
         # pair, so ties between them are the tree's to settle.
         rng = np.random.default_rng(seed)
         bound = 1e-3
@@ -144,7 +144,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("prox_tol", [1e307, 1e308, 1.7e308])
     @pytest.mark.parametrize("size", [1, 40])
     def test_tolerance_near_float_limit(self, prox_tol, size):
-        # From about 5e307 each table is one cell and one component, so all
+        # From about 5e307 each table is one cell and one run, so all
         # points share one pair: a single registry point is tested directly,
         # several go to the tree.
         rng = np.random.default_rng(size)
@@ -156,8 +156,7 @@ class TestEquivalence:
         ])
         lookup = basins._RegistryLookup(reg, bound)
         if prox_tol > 5e307:
-            assert lookup.table_x.cells.size == lookup.table_y.cells.size == 1
-            assert lookup.table_x.starts.size == lookup.table_y.starts.size == 1
+            assert lookup.table_x.runs.tolist() == lookup.table_y.runs.tolist() == [1]
         with np.errstate(over="ignore"):  # far values overflow to the clipped last cell
             assert_lookup_matches_tree(reg, bound, q)
 
@@ -169,15 +168,35 @@ class TestAxisComponents:
         bound = prox_tol * (1.0 + 1e-12)
         coords = np.concatenate([rng.uniform(-0.8, 1.5, 80), [0.1, 0.1, 0.1 + bound]])
         table = basins._AxisTable(coords, bound)
-        assert np.all(table.cells[table.starts])
-        assert np.all(~table.cells[table.starts - 1])
+        # Each stretch of marked cells holds one run number, and the stretches
+        # are numbered 1..R in axis order; between two runs lies a 0 cell.
+        runs = table.runs.astype(np.int64)
+        marked = runs > 0
+        starts = np.flatnonzero(marked[1:] & ~marked[:-1]) + 1
+        np.testing.assert_array_equal(runs[starts], np.arange(1, starts.size + 1))
+        inside = marked[1:] & marked[:-1]
+        np.testing.assert_array_equal(runs[1:][inside], runs[:-1][inside])
+        assert runs.max() == starts.size
         owner = rng.integers(0, coords.size, 5000)
         values = coords[owner] + rng.uniform(-1.0, 1.0, 5000) * bound
         values = np.concatenate([values, coords + bound, coords - bound])
         owner = np.concatenate([owner, np.arange(coords.size), np.arange(coords.size)])
-        cell = table.cell(values)
-        assert np.all(table.cells[cell])
-        np.testing.assert_array_equal(table.component(cell), table.comp[owner])
+        np.testing.assert_array_equal(table.runs[table.cell(values)], table.comp[owner])
+        assert np.all(table.comp > 0)
+
+    def test_overlapping_and_touching_intervals_share_a_run(self):
+        # With a dyadic bound of 2 cells (h = bound / 2) and coordinates on
+        # cell edges, coordinate j * h marks cells j + 3 .. j + 9 (the one-cell
+        # margin included).  So offsets 0 and 6 overlap in one cell, 6 and 13
+        # touch (16 follows 15), and 13 and 21 leave cell 23 free between them.
+        h = 2.0**-11
+        coords = 0.25 + h * np.array([13.0, 0.0, 21.0, 6.0])
+        table = basins._AxisTable(coords, 2 * h)
+        assert table.inv_h == 1 / h
+        np.testing.assert_array_equal(table.comp, [1, 1, 2, 1])
+        first, second = np.flatnonzero(table.runs == 1), np.flatnonzero(table.runs == 2)
+        assert first.size == 20 and second.size == 7
+        assert second[0] - first[-1] == 2
 
 
 SHIPPED = [(case, None) for case in ("pp", "np", "pn", "nn")] + [("pp", 30), ("np", 30)]
@@ -185,8 +204,8 @@ SHIPPED = [(case, None) for case in ("pp", "np", "pn", "nn")] + [("pp", 30), ("n
 
 @pytest.mark.parametrize("case,k_max", SHIPPED)
 def test_shipped_rasters_never_query_tree(case, k_max, counting_tree):
-    # A regression that made every component pair shared would still give
-    # the right labels, only slowly; this catches it.
+    # A regression that made every run pair shared would still give the
+    # right labels, only slowly; this catches it.
     config = load_config(str(CONFIG_ROOT / case / "basins.json"), "basins")
     section = config.section
     result = scan_srk(config.params, section["k_min"], k_max or section["k_max"])
@@ -198,4 +217,4 @@ def test_shipped_rasters_never_query_tree(case, k_max, counting_tree):
     )
     grid = raster(config.params, registry, Rect(*section["window"]), 40, 40, limits)
     assert grid.stats.classified > 0
-    assert counting_tree.trees == 1 and counting_tree.rows == 0
+    assert counting_tree.trees == 0 and counting_tree.rows == 0
