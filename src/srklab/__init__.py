@@ -22,7 +22,6 @@ from .manifolds import (
     TangencyHit,
     curves_to_csv,
     detect_tangencies,
-    invert_blend,
     invert_return,
     invert_saddle,
     tangencies_to_csv,

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import InvalidWindowError, SrkLabError
 from .mapcore import Point2, Rect, eval_map, eval_map_arrays
-from .orbits import CLOSING_TOL, SRkOrbit, newton_periodic
+from .orbits import CLOSING_TOL, SRkOrbit, _same_orbit, newton_periodic
 from .params import MapParams
-from .stability import StabilityClass
+from .stability import StabilityClass, classify, orbit_jacobian
 
 __all__ = [
     "UNKNOWN",
@@ -146,12 +146,36 @@ class AttractorRegistry:
     def from_orbits(
         cls, params: MapParams, orbits: list[SRkOrbit]
     ) -> "AttractorRegistry":
-        """Registry of the asymptotically stable orbits in a scan result."""
+        """Registry of the asymptotically stable orbits among ``orbits``, a
+        scan's or a registry CSV's alike.
+
+        Each orbit is checked in turn, and the first check it fails raises
+        ``ValueError`` naming it.  A stable orbit must not repeat one
+        registered before it (``_same_orbit``: any rotation, within 1e-8),
+        and must pass ``add``.  Then every orbit's label must be ``classify``
+        of its points' ``orbit_jacobian``: a saddle labelled stable would
+        register, and a stable orbit labelled otherwise would be passed over.
+        """
         registry = cls()
+        registered: list[SRkOrbit] = []
         for orbit in orbits:
-            if orbit.stability is not StabilityClass.ASYMPTOTICALLY_STABLE:
-                continue
-            registry.add(params, orbit.points.array(), label=f"sr{orbit.k}")
+            branch = orbit.branch.value if orbit.branch is not None else ""
+            name = f"orbit k={orbit.k} branch {branch!r}"
+            if orbit.stability is StabilityClass.ASYMPTOTICALLY_STABLE:
+                if any(_same_orbit(orbit, old) for old in registered):
+                    raise ValueError(f"{name} repeats the points of an earlier orbit")
+                try:
+                    registry.add(params, orbit.points.array(), label=f"sr{orbit.k}")
+                except ValueError as err:
+                    raise ValueError(f"{name}: {err}") from err
+                registered.append(orbit)
+            jac = orbit_jacobian(params, orbit.points)
+            stability = classify(jac.trace, jac.det)
+            if stability is not orbit.stability:
+                raise ValueError(
+                    f"{name} is labelled {orbit.stability.value!r}, "
+                    f"but its points are {stability.value!r}"
+                )
         return registry
 
     def __len__(self) -> int:

@@ -39,7 +39,6 @@ from .manifolds import (
 from .mapcore import Rect
 from .orbits import orbits_from_csv, orbits_to_csv, scan_srk
 from .params import MapParams
-from .stability import classify, orbit_jacobian
 from .theory import full_report, trace_growth_experiment
 
 EXIT_OK = 0
@@ -319,50 +318,15 @@ def cmd_basins(config: ExperimentConfig) -> int:
         escape_radius=section["escape_radius"],
         prox_tol=section["prox_tol"],
     )
-    if section["registry"] == "auto":
-        result = scan_srk(config.params, section["k_min"], section["k_max"])
-        registry = AttractorRegistry.from_orbits(config.params, result.orbits)
-    else:
-        try:
+    try:
+        if section["registry"] == "auto":
+            orbits = scan_srk(config.params, section["k_min"], section["k_max"]).orbits
+        else:
             with open(section["registry"], "r", encoding="utf-8") as fh:
-                text = fh.read()  # an OSError here is an I/O failure, exit 3
-            rows = orbits_from_csv(text)
-        except ValueError as err:  # UnicodeDecodeError among them
-            raise ConfigError(f"bad registry CSV: {err}") from err
-        registry = AttractorRegistry()
-        # Registered orbits by point set: an orbit listed twice, in any
-        # rotation, would be registered twice.
-        by_points: dict[frozenset, list[tuple]] = {}
-        for row in rows:
-            name = f"orbit k={row['k']} branch {row['branch']!r}"
-            if row["period"] != row["k"] + 1:
-                raise ConfigError(
-                    f"bad registry CSV: {name} has period {row['period']}, not k + 1"
-                )
-            if row["stability"] == "asymptotically-stable":
-                pts = tuple(row["points"])
-                same = by_points.setdefault(frozenset(pts), [])
-                if any(pts == old[j:] + old[:j] for old in same for j in range(len(old))):
-                    raise ConfigError(
-                        f"bad registry CSV: {name} repeats the points of an earlier orbit"
-                    )
-                same.append(pts)
-                try:
-                    registry.add(config.params, row["points"], label=f"sr{row['k']}")
-                except ValueError as err:
-                    raise ConfigError(
-                        f"registry CSV inconsistent with params: {err}"
-                    ) from err
-            # A row's label must be the one the scan gives its points: a
-            # saddle labelled stable would register, and a stable orbit
-            # labelled otherwise would be passed over.
-            jac = orbit_jacobian(config.params, row["points"])
-            stability = classify(jac.trace, jac.det).value
-            if stability != row["stability"]:
-                raise ConfigError(
-                    f"registry CSV inconsistent with params: {name} is labelled "
-                    f"{row['stability']!r}, but its points are {stability!r}"
-                )
+                orbits = orbits_from_csv(fh.read())  # an OSError here is an I/O failure, exit 3
+        registry = AttractorRegistry.from_orbits(config.params, orbits)
+    except ValueError as err:  # UnicodeDecodeError among them
+        raise ConfigError(f"bad registry CSV: {err}") from err
     if len(registry) == 0:
         raise ConfigError("registry contains no attractors")
 
@@ -387,6 +351,7 @@ def cmd_basins(config: ExperimentConfig) -> int:
         f"{grid.stats.unknown} unknown, {grid.stats.divergent} divergent; "
         f"{sum(cycles.values())} unknown retired on unregistered cycles"
         + (f" ({by_period})" if cycles else "")
+        + f"; {grid.stats.budget_spent} ran the whole budget"
     )
     return EXIT_OK
 

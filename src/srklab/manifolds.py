@@ -48,7 +48,6 @@ __all__ = [
     "trace_stable",
     "invert_saddle",
     "invert_return",
-    "invert_blend",
     "detect_tangencies",
     "curves_to_csv",
     "tangencies_to_csv",
@@ -203,21 +202,6 @@ def _blend_preimages(
         out[idx[solved]] = np.column_stack(p)[solved]
         todo[idx[solved]] = False
     return out
-
-
-def _one_row(p) -> Point2:
-    return Point2(np.array([float(p[0])]), np.array([float(p[1])]))
-
-
-def invert_blend(params: MapParams, q: Point2, guesses: list[Point2]) -> Point2 | None:
-    """A preimage of q inside the blend strip, by Newton iteration from the guesses.
-
-    Returns the point reached from the first guess whose residual is at
-    most 1e-10 and whose point lies strictly inside the strip, or None.
-    """
-    every = np.ones(1, dtype=bool)
-    out = _blend_preimages(params, _one_row(q), [(_one_row(g), every) for g in guesses])[0]
-    return None if np.isnan(out).any() else Point2(float(out[0]), float(out[1]))
 
 
 # -- one refinement engine for both manifolds ----------------------------------

@@ -161,7 +161,8 @@ class SRkOrbit:
     ``OrbitPoints``; any other sequence of points given to the
     constructor (or to ``dataclasses.replace``) is converted to one.
     ``residual``, ``trace`` and ``det`` are likewise Python floats, so
-    they format as plain floats.  ``method`` is "closed-form" or "newton".
+    they format as plain floats.  ``method`` is "closed-form", "newton",
+    or "csv" for an orbit read by ``orbits_from_csv``.
     """
 
     k: int
@@ -481,11 +482,12 @@ class ScanResult:
 def _same_orbit(a: SRkOrbit, b: SRkOrbit) -> bool:
     if a.period != b.period:
         return False
-    # Compare point sets up to cyclic rotation.
+    # Compare point sets up to cyclic rotation.  Each coordinate is tested
+    # on its own, so a NaN in either never matches.
     ax, ay, bx, by = a.points.xs, a.points.ys, b.points.xs, b.points.ys
     for shift in range(b.period):
         if all(
-            max(abs(xa - xb), abs(ya - yb)) <= _SAME_ORBIT_TOL
+            abs(xa - xb) <= _SAME_ORBIT_TOL and abs(ya - yb) <= _SAME_ORBIT_TOL
             for xa, ya, xb, yb in zip(ax, ay, bx[shift:] + bx[:shift], by[shift:] + by[:shift])
         ):
             return True
@@ -631,43 +633,51 @@ def orbits_to_csv(orbits: Iterable[SRkOrbit]) -> str:
     return "".join(parts)
 
 
-def orbits_from_csv(text: str) -> list[dict]:
-    """Parse an orbit CSV back into per-orbit dicts (points in file order).
+_BRANCHES = {"": None, **{b.value: b for b in Branch}}
+_STABILITIES = {s.value: s for s in StabilityClass}
+
+
+def orbits_from_csv(text: str) -> list[SRkOrbit]:
+    """Parse an orbit CSV back into the orbits ``orbits_to_csv`` wrote.
 
     Each orbit starts at a row with j = 0 and runs through j = period - 1
     with the same k, period and branch; any other sequence of rows raises
-    ``ValueError``, so orbits that share (k, branch) stay apart.
+    ``ValueError``, so orbits that share (k, branch) stay apart.  So does
+    a period other than k + 1, a branch other than "", "minus" or "plus"
+    ("" reads as None) and an unknown stability.  The CSV has no method
+    column, so every orbit's ``method`` is "csv".  The orbits are not
+    checked under any map here: ``AttractorRegistry.from_orbits`` does that.
     """
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError("unrecognized orbit CSV header")
-    entries: list[dict] = []
+    # Per orbit: (k, period, branch), the fields of its j = 0 row, xs, ys.
+    entries: list[tuple[tuple[int, int, str], list[str], list[float], list[float]]] = []
     for line in lines[1:]:
         fields = line.split(",")
         if len(fields) != 10:
             raise ValueError(f"malformed orbit CSV row: {line}")
-        k, period, branch, j = int(fields[0]), int(fields[1]), fields[2], int(fields[3])
+        key, j = (int(fields[0]), int(fields[1]), fields[2]), int(fields[3])
         if j == 0:
-            entries.append({
-                "k": k,
-                "period": period,
-                "branch": branch,
-                "points": [],
-                "trace": float(fields[6]),
-                "det": float(fields[7]),
-                "stability": fields[8],
-                "residual": float(fields[9]),
-            })
-        entry = entries[-1] if entries else None
-        if entry is None or j >= period or (k, period, branch, j) != (
-            entry["k"], entry["period"], entry["branch"], len(entry["points"])
-        ):
+            entries.append((key, fields, [], []))
+        if not entries or (key, j) != (entries[-1][0], len(entries[-1][2])) or j >= key[1]:
             raise ValueError(f"orbit CSV row does not continue its orbit: {line}")
-        entry["points"].append(Point2(float(fields[4]), float(fields[5])))
-    for entry in entries:
-        if len(entry["points"]) != entry["period"]:
-            raise ValueError(
-                f"orbit CSV orbit k={entry['k']} has {len(entry['points'])} of its "
-                f"{entry['period']} points"
-            )
-    return entries
+        entries[-1][2].append(float(fields[4]))
+        entries[-1][3].append(float(fields[5]))
+    orbits = []
+    for (k, period, branch), head, xs, ys in entries:
+        name = f"orbit k={k} branch {branch!r}"
+        if len(xs) != period:
+            raise ValueError(f"orbit CSV orbit k={k} has {len(xs)} of its {period} points")
+        if period != k + 1:
+            raise ValueError(f"{name} has period {period}, not k + 1")
+        if branch not in _BRANCHES:
+            raise ValueError(f"{name}: branch is not '', 'minus' or 'plus'")
+        if head[8] not in _STABILITIES:
+            raise ValueError(f"{name} has unknown stability {head[8]!r}")
+        points, stability = OrbitPoints(xs, ys), _STABILITIES[head[8]]
+        residual, trace, det = float(head[9]), float(head[6]), float(head[7])
+        orbits.append(
+            SRkOrbit(k, points, _BRANCHES[branch], residual, trace, det, stability, "csv")
+        )
+    return orbits

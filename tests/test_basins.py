@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import re
 import warnings
 from collections import Counter
 
@@ -9,6 +11,7 @@ import pytest
 from srklab import (
     EXAMPLE_CASES,
     InvalidWindowError,
+    OrbitPoints,
     Point2,
     Rect,
     eval_map,
@@ -92,6 +95,25 @@ class TestRegistry:
     def test_from_orbits_registers_stable_only(self, pp, pp_registry):
         assert len(pp_registry) == 16
         assert sorted(e.period for e in pp_registry.entries) == list(range(1, 17))
+
+    @pytest.mark.parametrize(
+        "dy, message",
+        [
+            (0.0, "orbit k=1 branch 'minus' repeats the points of an earlier orbit"),
+            # A NaN y difference is no match, so the copy reaches the walk.
+            (np.nan, "orbit k=1 branch 'minus': orbit point 1 is not point 0 mapped 1 times"),
+        ],
+        ids=["shifted-x", "nan-y"],
+    )
+    def test_from_orbits_rejects_a_near_copy(self, pp, dy, message):
+        orbits = scan_srk(pp, 0, 3).orbits
+        sr1 = orbits[2]
+        assert (sr1.k, sr1.stability) == (1, StabilityClass.ASYMPTOTICALLY_STABLE)
+        xs = (sr1.points.xs[0] + 1e-13, *sr1.points.xs[1:])
+        ys = tuple(y + dy for y in sr1.points.ys)
+        copy = dataclasses.replace(sr1, points=OrbitPoints(xs, ys))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AttractorRegistry.from_orbits(pp, orbits + [copy])
 
     def test_colors_unique_and_reserved(self, pp_registry):
         colors = {e.color for e in pp_registry.entries}

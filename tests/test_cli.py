@@ -28,7 +28,7 @@ from srklab.cli import (
     load_config,
     main,
 )
-from srklab.orbits import orbits_to_csv, scan_srk
+from srklab.orbits import OrbitPoints, orbits_to_csv, scan_srk
 from srklab.stability import StabilityClass
 
 PP_PARAMS = {"lambda": 0.8, "sigma": 1.25, "c2": -0.5, "d1": 1.0, "d5": 1.0}
@@ -547,7 +547,7 @@ class TestBasins:
         )
         assert main(["basins", "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "registry CSV inconsistent with params" in err
+        assert "bad registry CSV" in err
         assert "Traceback" not in err
 
     def test_registry_csv_point_off_its_orbit_is_config_error(self, pp, tmp_path, capsys):
@@ -573,7 +573,7 @@ class TestBasins:
         )
         assert main(["basins", "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "registry CSV inconsistent with params" in err
+        assert "bad registry CSV" in err
         assert "orbit point 1 is not point 0 mapped 1 times" in err
         assert "Traceback" not in err
 
@@ -621,6 +621,82 @@ class TestBasins:
         registry_path.write_text(orbits_to_csv(orbits + orbits))
         assert main(["basins", "--config", cfg]) == EXIT_CONFIG
         assert f"bad registry CSV: orbit k={orbits[0].k} " in capsys.readouterr().err
+
+    def test_registry_csv_repeating_an_orbit_within_tolerance_is_config_error(
+        self, pp, tmp_path, capsys
+    ):
+        # SR_0..SR_3 and a copy of SR_1 with x_0 moved by 1e-13: the copy
+        # repeats SR_1 within the scan's duplicate tolerance.
+        orbits = scan_srk(pp, 0, 3).orbits
+        sr1 = next(
+            o for o in orbits if o.k == 1 and o.stability is StabilityClass.ASYMPTOTICALLY_STABLE
+        )
+        xs = (sr1.points.xs[0] + 1e-13, *sr1.points.xs[1:])
+        moved = dataclasses.replace(sr1, points=OrbitPoints(xs, sr1.points.ys))
+        assert moved.points != sr1.points
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text(orbits_to_csv(orbits + [moved]))
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "basins_out"),
+                "basins": {"resolution": [12, 12], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (
+            "bad registry CSV: orbit k=1 branch 'minus' repeats the points of an earlier orbit"
+            in err
+        )
+        assert "Traceback" not in err and not (tmp_path / "basins_out").exists()
+
+    @pytest.mark.parametrize(
+        "column, value", [(2, "middle"), (8, "stable")], ids=["branch", "stability"]
+    )
+    def test_registry_csv_unknown_branch_or_stability_is_config_error(
+        self, pp, tmp_path, capsys, column, value
+    ):
+        rows = orbits_to_csv(scan_srk(pp, 0, 3).orbits).splitlines()
+        fields = rows[1].split(",")
+        fields[column] = value
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text("\n".join([rows[0], ",".join(fields), *rows[2:]]) + "\n")
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "basins_out"),
+                "basins": {"resolution": [8, 8], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad registry CSV: orbit k=0 branch " in err and repr(value) in err
+        assert "Traceback" not in err and not (tmp_path / "basins_out").exists()
+
+    def test_summary_counts_cells_that_ran_the_whole_budget(self, pn, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": {"lambda": 0.8, "sigma": -1.25, "c2": -0.5, "d1": 1.0, "d5": 1.0},
+                "output_dir": str(tmp_path / "out"),
+                "basins": {"resolution": [40, 40], "max_iter": 700},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_OK
+        config = load_config(cfg, "basins")
+        assert config.params == pn
+        registry = AttractorRegistry.from_orbits(pn, scan_srk(pn, 0, 15).orbits)
+        window = config.section["window"]
+        stats = raster(pn, registry, window, 40, 40, ClassifyLimits(max_iter=700)).stats
+        assert stats.budget_spent > 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith(f"; {stats.budget_spent} ran the whole budget")
 
     def test_registry_csv_with_distinct_orbits_of_one_k_and_branch(self, pp, tmp_path):
         # SR_0's saddle written under the stable SR_0's branch: two distinct
@@ -685,7 +761,7 @@ class TestBasins:
         )
         assert main(["basins", "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"registry CSV inconsistent with params: {message}" in err
+        assert f"bad registry CSV: {message}" in err
         assert "Traceback" not in err and not (tmp_path / "basins_out").exists()
 
     def test_registry_csv_period_other_than_k_plus_one_is_config_error(

@@ -16,7 +16,6 @@ from srklab import (
     eval_map,
     eval_return,
     eval_saddle,
-    invert_blend,
     invert_return,
     invert_saddle,
     region_of,
@@ -28,12 +27,25 @@ from srklab.manifolds import (
     DEFAULT_MAX_GAP,
     RefinementStats,
     _blend_newton,
-    _one_row,
+    _blend_preimages,
     _reiterate,
     curves_to_csv,
 )
 
 CLIP = Rect(-1.0, 2.5, -1.5, 2.0)
+
+
+def _one_row(p) -> Point2:
+    """``p`` as a Point2 of one-element arrays, the blend Newton's input."""
+    return Point2(np.array([float(p[0])]), np.array([float(p[1])]))
+
+
+def invert_blend(params, q, guesses):
+    """The preimage of q inside the blend strip from the first guess that
+    reaches one (``_blend_preimages`` on one row), or None."""
+    every = np.ones(1, dtype=bool)
+    out = _blend_preimages(params, _one_row(q), [(_one_row(g), every) for g in guesses])[0]
+    return None if np.isnan(out).any() else Point2(float(out[0]), float(out[1]))
 
 
 def synthetic_curve(points: np.ndarray) -> ManifoldCurve:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -687,14 +688,14 @@ class TestOrbitCsv:
         text = orbits_to_csv(result.orbits)
         parsed = orbits_from_csv(text)
         assert len(parsed) == len(result.orbits)
-        by_key = {(o["k"], o["branch"]): o for o in parsed}
+        by_key = {(o.k, o.branch): o for o in parsed}
         for orbit in result.orbits:
-            entry = by_key[(orbit.k, orbit.branch.value)]
-            assert entry["period"] == orbit.period
-            assert entry["trace"] == orbit.trace
-            assert entry["det"] == orbit.det
-            assert entry["stability"] == orbit.stability.value
-            for got, want in zip(entry["points"], orbit.points):
+            entry = by_key[(orbit.k, orbit.branch)]
+            assert entry.period == orbit.period
+            assert entry.trace == orbit.trace
+            assert entry.det == orbit.det
+            assert entry.stability is orbit.stability
+            for got, want in zip(entry.points, orbit.points):
                 assert got.x == want.x and got.y == want.y
 
     def test_matches_per_row_formatting(self, pp):
@@ -743,8 +744,8 @@ class TestOrbitCsv:
         parsed = orbits_from_csv(orbits_to_csv([orbit, orbit]))
         assert len(parsed) == 2
         for entry in parsed:
-            assert (entry["k"], entry["period"], entry["branch"]) == (8, 9, "")
-            assert tuple(entry["points"]) == orbit.points
+            assert (entry.k, entry.period, entry.branch) == (8, 9, None)
+            assert tuple(entry.points) == orbit.points
 
     @pytest.mark.parametrize(
         "edit",
@@ -776,8 +777,8 @@ class TestOrbitCsv:
         text = orbits_to_csv([orbit, moved])
         assert "np." not in text and text == reference_csv([orbit, moved])
         parsed = orbits_from_csv(text)
-        assert parsed[0]["points"] == list(zip(base.points.xs, ys))
-        assert parsed[1]["points"][0] == (0.5, 2.0)
+        assert list(parsed[0].points) == list(zip(base.points.xs, ys))
+        assert parsed[1].points[0] == (0.5, 2.0)
 
     def test_numpy_trace_det_and_residual_write_as_floats(self, pp):
         base = scan_srk(pp, 2, 2).orbits[0]
@@ -788,9 +789,42 @@ class TestOrbitCsv:
         text = orbits_to_csv([orbit])
         assert "np." not in text and text == reference_csv([orbit])
         (entry,) = orbits_from_csv(text)
-        assert (entry["trace"], entry["det"]) == (0.0, 0.5)
-        assert math.copysign(1.0, entry["residual"]) == -1.0
+        assert (entry.trace, entry.det) == (0.0, 0.5)
+        assert math.copysign(1.0, entry.residual) == -1.0
 
     def test_header_enforced(self):
         with pytest.raises(ValueError):
             orbits_from_csv("a,b,c\n1,2,3\n")
+
+    def test_reads_back_the_orbits_it_wrote(self, pp):
+        # The reprs hold every bit: signed zeros and NaNs count.
+        scanned = scan_srk(pp, 0, 60).orbits
+        assert sum(o.method == "newton" for o in scanned) == 3
+        bare = newton_periodic(pp, Point2(0.512, 1.0), 4)
+        assert bare.branch is None
+        orbits = [*scanned, bare]
+        parsed = orbits_from_csv(orbits_to_csv(orbits))
+        assert {o.method for o in parsed} == {"csv"}
+        assert repr(parsed) == repr([dataclasses.replace(o, method="csv") for o in orbits])
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (2, "middle", "orbit k=1 branch 'middle': branch is not '', 'minus' or 'plus'"),
+            (8, "stable", "orbit k=1 branch 'minus' has unknown stability 'stable'"),
+            (1, "3", "orbit k=1 branch 'minus' has period 3, not k + 1"),
+        ],
+        ids=["branch", "stability", "period"],
+    )
+    def test_unknown_branch_stability_or_period_rejected(self, pp, column, value, message):
+        rows = orbits_to_csv(scan_srk(pp, 1, 1).orbits).splitlines()
+        edited = [rows[0]]
+        for row in rows[1:]:
+            fields = row.split(",")
+            if fields[2] == "minus":
+                fields[column] = value
+            edited.append(",".join(fields))
+        if column == 1:  # a period-3 orbit needs a third point
+            edited.insert(3, edited[2].replace(",minus,1,", ",minus,2,", 1))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            orbits_from_csv("\n".join(edited) + "\n")
