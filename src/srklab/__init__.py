@@ -15,6 +15,7 @@ from .errors import (
     ResonanceFormUnavailableError,
     SingularJacobianError,
     SrkLabError,
+    StallError,
 )
 from .manifolds import (
     ManifoldCurve,

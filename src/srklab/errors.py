@@ -34,13 +34,21 @@ class ItineraryInvalidError(SrkLabError):
 class NoConvergenceError(SrkLabError):
     """Newton iteration failed to reach the residual tolerance."""
 
+    _outcome = "no convergence"
+
     def __init__(self, iterations: int, last_residual: float):
         self.iterations = iterations
         self.last_residual = last_residual
         super().__init__(
-            f"no convergence after {iterations} iterations "
+            f"{self._outcome} after {iterations} iterations "
             f"(residual {last_residual:.3e})"
         )
+
+
+class StallError(NoConvergenceError):
+    """Newton iteration stopped making progress before its budget ran out."""
+
+    _outcome = "stalled"
 
 
 class SingularJacobianError(SrkLabError):

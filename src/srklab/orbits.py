@@ -37,6 +37,7 @@ from .errors import (
     NoConvergenceError,
     NotMinimalError,
     SingularJacobianError,
+    StallError,
 )
 from .mapcore import (
     Jacobian2,
@@ -69,6 +70,10 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 20
+# Newton stalls when its residual falls less than _STALL_FACTOR-fold over
+# _STALL_ITER accepted steps (MINPACK hybrd's progress test).
+_STALL_ITER = 10
+_STALL_FACTOR = 10.0
 MINIMALITY_TOL = 1e-8
 CLOSING_TOL = 1e-10  # largest closing residual of a scan orbit or registry entry
 _SAME_ORBIT_TOL = 1e-8
@@ -397,9 +402,15 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
 
     The Jacobian of g is the chain-rule product of the single-step
     Jacobians minus the identity.  Steps are halved (up to 20 times)
-    whenever the residual increases.  Raises ``NotMinimalError`` when the
-    converged orbit returns to its first point (within ``MINIMALITY_TOL``)
-    after a proper divisor d of the period.
+    whenever the residual does not decrease.  Raises ``StallError`` (a
+    ``NoConvergenceError``) when, after an accepted step, the residual
+    is not at least ``_STALL_FACTOR`` (10) times below its value
+    ``_STALL_ITER`` (10) accepted steps earlier, the seed counting as
+    step 0: the test compares residuals only, so it sets no scale in
+    coordinate units.  Runs that converge fall far faster than that.
+    Raises ``NotMinimalError`` when the converged orbit returns to its
+    first point (within ``MINIMALITY_TOL``) after a proper divisor d of
+    the period.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -408,6 +419,7 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
         raise NoConvergenceError(iterations=0, last_residual=math.inf)
     pts, closing = _cycle_and_residual(params, p, period)
     res = max(abs(closing.x - p.x), abs(closing.y - p.y))
+    residuals = [res]  # of the seed and of each accepted iterate
     for iteration in range(NEWTON_MAX_ITER):
         if res <= NEWTON_TOL:
             break
@@ -434,6 +446,13 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
             raise NoConvergenceError(iterations=iteration + 1, last_residual=res)
         if max(abs(p.x), abs(p.y)) > _NEWTON_ESCAPE:
             raise NoConvergenceError(iterations=iteration + 1, last_residual=res)
+        residuals.append(res)
+        if (
+            res > NEWTON_TOL
+            and len(residuals) > _STALL_ITER
+            and res * _STALL_FACTOR > residuals[-1 - _STALL_ITER]
+        ):
+            raise StallError(iterations=iteration + 1, last_residual=res)
     if res > NEWTON_TOL:
         raise NoConvergenceError(iterations=NEWTON_MAX_ITER, last_residual=res)
     for d in _proper_divisors(period):
@@ -643,10 +662,12 @@ def orbits_from_csv(text: str) -> list[SRkOrbit]:
     Each orbit starts at a row with j = 0 and runs through j = period - 1
     with the same k, period and branch; any other sequence of rows raises
     ``ValueError``, so orbits that share (k, branch) stay apart.  So does
-    a period other than k + 1, a branch other than "", "minus" or "plus"
-    ("" reads as None) and an unknown stability.  The CSV has no method
-    column, so every orbit's ``method`` is "csv".  The orbits are not
-    checked under any map here: ``AttractorRegistry.from_orbits`` does that.
+    a row whose trace, det, stability or residual field differs from its
+    orbit's j = 0 row, a period other than k + 1, a branch other than "",
+    "minus" or "plus" ("" reads as None) and an unknown stability.  The
+    CSV has no method column, so every orbit's ``method`` is "csv".  The
+    orbits are not checked under any map here:
+    ``AttractorRegistry.from_orbits`` does that.
     """
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines or lines[0] != _CSV_HEADER:
@@ -662,6 +683,11 @@ def orbits_from_csv(text: str) -> list[SRkOrbit]:
             entries.append((key, fields, [], []))
         if not entries or (key, j) != (entries[-1][0], len(entries[-1][2])) or j >= key[1]:
             raise ValueError(f"orbit CSV row does not continue its orbit: {line}")
+        if fields[6:] != entries[-1][1][6:]:
+            raise ValueError(
+                f"orbit CSV row disagrees with its orbit's j = 0 row on trace, det, "
+                f"stability or residual: {line}"
+            )
         entries[-1][2].append(float(fields[4]))
         entries[-1][3].append(float(fields[5]))
     orbits = []

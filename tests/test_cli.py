@@ -598,6 +598,32 @@ class TestBasins:
         err = capsys.readouterr().err
         assert "bad registry CSV" in err and "Traceback" not in err
 
+    def test_registry_csv_later_row_disagreeing_is_config_error(self, tmp_path, capsys):
+        # pp's SR_1 with row j = 1 rewritten to trace 99.0 and a saddle:
+        # the orbit's rows no longer agree on what it is.
+        orbits_cfg = orbit_config(tmp_path, k_min=1, k_max=1)
+        assert main(["find-orbits", "--config", orbits_cfg]) == EXIT_OK
+        rows = (tmp_path / "out" / "orbits.csv").read_text().splitlines()
+        fields = rows[2].split(",")
+        assert fields[2:4] == ["minus", "1"]
+        fields[6], fields[8] = "99.0", "saddle"
+        registry_path = tmp_path / "registry.csv"
+        registry_path.write_text("\n".join(rows[:2] + [",".join(fields)] + rows[3:]) + "\n")
+        cfg = write_config(
+            tmp_path,
+            "basins.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "basins_out"),
+                "basins": {"resolution": [8, 8], "registry": str(registry_path)},
+            },
+        )
+        assert main(["basins", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad registry CSV: orbit CSV row disagrees with its orbit's j = 0 row" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "basins_out").exists()
+
     def test_registry_csv_repeating_an_orbit_is_config_error(self, pp, tmp_path, capsys):
         # SR_0..SR_3 twice, the copy of SR_2 starting at its second point.
         orbits = scan_srk(pp, 0, 3).orbits

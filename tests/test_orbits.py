@@ -23,6 +23,7 @@ from srklab import (
     Region,
     SingularJacobianError,
     StabilityClass,
+    StallError,
     assemble_orbit,
     eval_map,
     newton_periodic,
@@ -32,11 +33,15 @@ from srklab import (
     scan_srk,
     srk_quadratic,
 )
+from srklab.basins import AttractorRegistry, ClassifyLimits, raster
+from srklab.cli import load_config
 from srklab.mapcore import eval_return, eval_saddle
 from srklab.orbits import CLOSING_TOL, _point_above_strip, _walk
 from srklab.stability import orbit_jacobian
 
 from conftest import walk
+
+CONFIG_ROOT = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _itinerary(params, points):
@@ -446,22 +451,24 @@ class TestNewton:
                 assert max(dists) <= 1e-10
 
 
+@pytest.fixture
+def eval_map_calls(monkeypatch):
+    """The points that ``srklab.orbits`` passes to ``eval_map``, in order."""
+    import srklab.orbits as orbits
+
+    calls = []
+
+    def counting(params, p):
+        calls.append(p)
+        return eval_map(params, p)
+
+    monkeypatch.setattr(orbits, "eval_map", counting)
+    return calls
+
+
 class TestSingleWalk:
     """Each orbit's points come from one walk; the residual and the
     minimality test reuse them instead of mapping the orbit again."""
-
-    @pytest.fixture
-    def eval_map_calls(self, monkeypatch):
-        import srklab.orbits as orbits
-
-        calls = []
-
-        def counting(params, p):
-            calls.append(p)
-            return eval_map(params, p)
-
-        monkeypatch.setattr(orbits, "eval_map", counting)
-        return calls
 
     def test_newton_maps_the_converged_orbit_once(self, pp, eval_map_calls):
         orbit = newton_periodic(pp, Point2(0.512, 1.0), 4)
@@ -499,6 +506,56 @@ class TestSingleWalk:
         assert orbit.residual == max(
             abs(walked[-1].x - walked[0].x), abs(walked[-1].y - walked[0].y)
         )
+
+
+def _scan_and_rasters():
+    """What the stall rule could change: the (k, branch, status), orbits
+    and CSV of five k <= 400 scans, and pn's and nn's shipped basin
+    configs at 40x40, whose unregistered cycles Newton polishes."""
+    perturbed = EXAMPLE_CASES["pp"].replace(c1=0.1, c2=-0.3, d3=0.05, d4=0.05)
+    outcomes = {}
+    for name, params in {**EXAMPLE_CASES, "pp-perturbed": perturbed}.items():
+        result = scan_srk(params, 0, 400)
+        statuses = [(r.k, r.branch, r.status) for r in result.records]
+        outcomes[name] = statuses, result.orbits, orbits_to_csv(result.orbits)
+    for name in ("pn", "nn"):
+        config = load_config(str(CONFIG_ROOT / name / "basins.json"), "basins")
+        section = config.section
+        orbits = scan_srk(config.params, section["k_min"], section["k_max"]).orbits
+        registry = AttractorRegistry.from_orbits(config.params, orbits)
+        limits = ClassifyLimits(
+            section["max_iter"], section["escape_radius"], section["prox_tol"]
+        )
+        grid = raster(config.params, registry, section["window"], 40, 40, limits)
+        outcomes[name, "raster"] = grid.labels.tolist(), grid.stats
+    return outcomes
+
+
+class TestNewtonStall:
+    """Newton gives up once ten accepted steps cut its residual less than
+    tenfold; in the shipped cases that cuts no run that would converge."""
+
+    def test_stall_rule_changes_no_outcome(self, monkeypatch):
+        import srklab.orbits as orbits
+
+        shipped = _scan_and_rasters()
+        for name in ("pn", "nn"):
+            assert shipped[name, "raster"][1].cycle_cells  # the polish ran
+        monkeypatch.setattr(orbits, "_STALL_ITER", orbits.NEWTON_MAX_ITER + 1)
+        assert _scan_and_rasters() == shipped
+
+    def test_np_minus_fallbacks_stop_early(self, np_case, eval_map_calls):
+        records = {(r.k, r.branch): r for r in scan_srk(np_case, 0, 30).records}
+        for k in (22, 24, 26):
+            record = records[k, Branch.MINUS]
+            assert record.status == "newton-failed"
+            assert record.detail.startswith("stalled after ")
+            seed = _point_above_strip(np_case, k, srk_quadratic(np_case, k).u_minus)
+            eval_map_calls.clear()
+            with pytest.raises(StallError) as err:
+                newton_periodic(np_case, seed, k + 1)
+            assert str(err.value) == record.detail
+            assert len(eval_map_calls) <= 3000
 
 
 class TestScan:
@@ -765,6 +822,20 @@ class TestOrbitCsv:
         assert head == [["1", "2", "minus", "0"], ["1", "2", "minus", "1"]]
         with pytest.raises(ValueError):
             orbits_from_csv("\n".join(edit(rows)) + "\n")
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [(6, "99.0"), (7, "0.125"), (8, "saddle"), (9, "1e-05")],
+        ids=["trace", "det", "stability", "residual"],
+    )
+    def test_later_row_disagreeing_with_first_rejected(self, pp, column, value):
+        rows = orbits_to_csv(scan_srk(pp, 1, 1).orbits).splitlines()
+        fields = rows[2].split(",")
+        assert fields[2:4] == ["minus", "1"] and fields[column] != value
+        fields[column] = value
+        edited = rows[:2] + [",".join(fields)] + rows[3:]
+        with pytest.raises(ValueError, match="disagrees with its orbit's j = 0 row"):
+            orbits_from_csv("\n".join(edited) + "\n")
 
     def test_numpy_and_int_coordinates_write_as_floats(self, pp):
         base = scan_srk(pp, 2, 2).orbits[0]
