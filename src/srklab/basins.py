@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidWindowError, SrkLabError
+from .errors import InvalidWindowError, NotMinimalError, SrkLabError
 from .mapcore import Point2, Rect, eval_map, eval_map_arrays
 from .orbits import CLOSING_TOL, SRkOrbit, _same_orbit, newton_periodic
 from .params import MapParams
@@ -363,10 +363,15 @@ def _polish_cycle(
 
     Cells may retire when the cycle is asymptotically stable and every
     point of it stays more than ``clearance`` from every registry point.
-    None when Newton fails.
+    A cycle that closes after a proper divisor of ``period`` comes back
+    too, as one that cells never retire on, so that the cells returning
+    to it after ``period`` steps are not polished onto it again.  None
+    when Newton fails otherwise.
     """
     try:
         orbit = newton_periodic(params, p, period)
+    except NotMinimalError as err:
+        return np.array(err.points, dtype=float), False
     except SrkLabError:
         return None
     cycle = orbit.points.array()
@@ -417,7 +422,9 @@ def classify_batch(
     lookup = _RegistryLookup(reg_pts, limits.prox_tol * (1.0 + 1e-12))
     radius = limits.escape_radius
     clearance = _CYCLE_CLEARANCE * limits.prox_tol
-    cycles: list[tuple[np.ndarray, bool]] = []  # polished cycles, and whether cells retire on them
+    # Each polished cycle: the return period it was found at, its points,
+    # and whether cells retire on it.
+    cycles: list[tuple[int, np.ndarray, bool]] = []
     if cycle_cells is None:
         cycle_cells = {}
 
@@ -445,22 +452,21 @@ def classify_batch(
         period = _return_periods(params, x, y)
         on_cycle = np.zeros(x.size, dtype=bool)
 
-        def settle(pending: np.ndarray, cycle: np.ndarray, ok: bool) -> np.ndarray:
-            on = (period[pending] == len(cycle)) & _near_cycle(x[pending], y[pending], cycle)
+        def settle(pending: np.ndarray, p: int, cycle: np.ndarray, ok: bool) -> np.ndarray:
+            on = (period[pending] == p) & _near_cycle(x[pending], y[pending], cycle)
             on_cycle[pending[on]] = ok
             return pending[~on]
 
         pending = np.flatnonzero(period)
-        for cycle, ok in cycles:
-            pending = settle(pending, cycle, ok)
+        for entry in cycles:
+            pending = settle(pending, *entry)
         while pending.size:
             i = pending[0]
-            found = _polish_cycle(
-                params, Point2(float(x[i]), float(y[i])), int(period[i]), reg_pts, clearance
-            )
+            p = int(period[i])
+            found = _polish_cycle(params, Point2(float(x[i]), float(y[i])), p, reg_pts, clearance)
             if found is not None:
-                cycles.append(found)
-                pending = settle(pending, *found)
+                cycles.append((p, *found))
+                pending = settle(pending, *cycles[-1])
             pending = pending[pending != i]
         if on_cycle.any():
             for p, count in zip(*np.unique(period[on_cycle], return_counts=True)):

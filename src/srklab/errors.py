@@ -60,10 +60,15 @@ class SingularJacobianError(SrkLabError):
 
 
 class NotMinimalError(SrkLabError):
-    """A periodic orbit repeats with a proper divisor of the requested period."""
+    """A periodic orbit repeats with a proper divisor of the requested period.
 
-    def __init__(self, divisor: int):
+    ``points`` holds the orbit's points over the requested period, as
+    Newton converged on them.
+    """
+
+    def __init__(self, divisor: int, points):
         self.divisor = divisor
+        self.points = tuple(points)
         super().__init__(f"orbit already closes after {divisor} steps")
 
 

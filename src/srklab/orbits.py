@@ -25,7 +25,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, count
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +45,8 @@ from .mapcore import (
     Region,
     _return_jacobian,
     eval_map,
+    eval_map_arrays,
     eval_return,
-    eval_saddle,
     region_of,
 )
 from .params import MapParams
@@ -120,6 +120,14 @@ class OrbitPoints(Sequence):
     def __init__(self, xs: Iterable[float], ys: Iterable[float]) -> None:
         self.xs = _exact_floats(xs)
         self.ys = _exact_floats(ys)
+
+    @classmethod
+    def _of_floats(cls, xs: list[float], ys: list[float]) -> "OrbitPoints":
+        """Columns known to hold Python floats only, as ``tolist()`` of a
+        float64 array gives them: taken without the type scan."""
+        points = cls.__new__(cls)
+        points.xs, points.ys = tuple(xs), tuple(ys)
+        return points
 
     @classmethod
     def of(cls, points: Sequence[Point2]) -> "OrbitPoints":
@@ -258,16 +266,19 @@ def _point_above_strip(params: MapParams, k: int, u: float) -> Point2:
 
 
 class _Walks(NamedTuple):
-    """The batched walk's result: the candidates' ks, the record ``xs``,
-    ``ys`` of every point walked (row j holds point j of each candidate;
-    a candidate's column is valid down to row k), each candidate's points
-    outside their required region (candidates without any are absent),
-    and its period Jacobian's trace and det."""
+    """The batched walk's result, one entry per candidate (row): its k,
+    the ``record`` of every point walked (``record[j]`` holds point j of
+    every candidate, its x row then its y row; a candidate's entries are
+    valid down to row k), its points outside their required region
+    (candidates without any are absent), its closing residual, whether
+    its point 0 equals the next row's (False for the last row), and its
+    period Jacobian's trace and det."""
 
     ks: Sequence[int]
-    xs: np.ndarray
-    ys: np.ndarray
+    record: np.ndarray
     violations: dict[int, list[tuple[int, Region]]]
+    residual: list[float]
+    same_start_as_next: list[bool]
     trace: list[float]
     det: list[float]
 
@@ -275,23 +286,16 @@ class _Walks(NamedTuple):
         """The first ``count`` recorded points of candidate ``row``; all
         k + 1 of its orbit by default."""
         stop = self.ks[row] + 1 if count is None else count
-        return OrbitPoints(self.xs[:stop, row].tolist(), self.ys[:stop, row].tolist())
+        xs, ys = self.record[:stop, 0, row], self.record[:stop, 1, row]
+        return OrbitPoints._of_floats(xs.tolist(), ys.tolist())
 
-    def residual(self, params: MapParams, row: int) -> float:
-        """The closing residual of an orbit whose itinerary holds.  In pure
-        regions the map is the piece walked: one call on point k closes
-        the orbit."""
-        k = self.ks[row]
-        closing = eval_map(params, Point2(self.xs.item(k, row), self.ys.item(k, row)))
-        return max(abs(closing.x - self.xs.item(0, row)), abs(closing.y - self.ys.item(0, row)))
-
-    def orbit(self, row: int, branch: Branch | None, residual: float) -> SRkOrbit:
+    def orbit(self, row: int, branch: Branch | None) -> SRkOrbit:
         tau, delta = self.trace[row], self.det[row]
         return SRkOrbit(
             k=self.ks[row],
             points=self.points(row),
             branch=branch,
-            residual=residual,
+            residual=self.residual[row],
             trace=tau,
             det=delta,
             stability=classify(tau, delta),
@@ -304,23 +308,29 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
     must not increase, so the rows still walking at step j (those with
     k >= j) form a prefix.
 
-    Step j applies the scalar expressions elementwise: point j is
-    ``eval_saddle`` of point j - 1, and the period Jacobian takes one
-    saddle factor in the form ``Jacobian2.matmul`` gives it, after the
-    return Jacobian at the above-strip point.  So every value equals the
-    one-point walk and ``orbit_jacobian`` over the points bit for bit;
-    the 0.0 terms keep their signed zeros and NaNs.
+    Step j applies the scalar expressions elementwise: point j is the
+    saddle piece of point j - 1, multiplied in place, and the period
+    Jacobian takes one saddle factor in the form ``Jacobian2.matmul``
+    gives it, after the return Jacobian at the above-strip point.  So
+    every value equals the one-point walk and ``orbit_jacobian`` over the
+    points bit for bit; the 0.0 terms keep their signed zeros and NaNs.
     Every point is recorded, (k_max + 1) x candidates x 16 bytes while
-    the scan runs, and the itinerary is checked on each: point 0 must lie
-    at or above h1, points 1..k at or below h0.
+    the scan runs, and the itinerary is checked on each: point 0 must
+    lie at or above h1, points 1..k at or below h0.  One
+    ``eval_map_arrays`` call on every candidate's point k gives the
+    closing residuals, with the bits of ``max`` over the scalar map's two
+    gaps, NaN order included: where the itinerary holds, the map is the
+    piece walked, so that call closes the orbit.
     """
     n = len(ks)
     k_max = ks[0] if n else 0
+    k_rows = np.asarray(ks, dtype=np.intp)
     # Point j of every candidate is record[j]: its x row, then its y row.
     record = np.empty((k_max + 1, 2, n))
     xs, ys = record[:, 0], record[:, 1]
     record[0] = np.fromiter(chain.from_iterable(ups), float, 2 * n).reshape(n, 2).T
     up = Point2(xs[0], ys[0])
+    saddle = np.array([[params.lam], [params.sigma]])
     # Rows a, b, d, c of each candidate's Jacobian product: reversed,
     # each entry meets the one its 0.0 term reads.  Step j updates the
     # prefix in place, so a row keeps its values from its last step.
@@ -338,9 +348,7 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
             while ks[live - 1] < j:
                 live -= 1
             if j > 1:
-                xs[j, :live], ys[j, :live] = eval_saddle(
-                    params, Point2(xs[j - 1, :live], ys[j - 1, :live])
-                )
+                np.multiply(record[j - 1, :, :live], saddle, out=record[j, :, :live])
             prefix = jac[:, :live]
             zero = prefix[::-1] * 0.0
             prefix *= jac_scale
@@ -350,12 +358,19 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
         # Both tests fail on NaN; rows past a candidate's k are masked.
         stray = ~(ys <= params.h0)
         stray[0] = ~(ys[0] >= params.h1)
-        stray[1:] &= np.arange(1, k_max + 1)[:, None] <= np.asarray(ks)
+        stray[1:] &= np.arange(1, k_max + 1)[:, None] <= k_rows
+        last = record[k_rows, :, np.arange(n)]  # (n, 2): each candidate's point k
+        close_x, close_y = eval_map_arrays(params, last[:, 0], last[:, 1])
+        gap_x, gap_y = np.abs(close_x - xs[0]), np.abs(close_y - ys[0])
+        residual = np.where(gap_y > gap_x, gap_y, gap_x).tolist()
+    # Each row's points are a function of its point 0 and its k.
+    same_start = np.zeros(n, dtype=bool)
+    same_start[:-1] = (record[0, :, :-1] == record[0, :, 1:]).all(axis=0)
     violations = {}
     for row in np.flatnonzero(stray.any(axis=0)).tolist():
         steps = np.flatnonzero(stray[:, row]).tolist()
         violations[row] = [(j, region_of(params, ys.item(j, row))) for j in steps]
-    return _Walks(ks, xs, ys, violations, trace, det)
+    return _Walks(ks, record, violations, residual, same_start.tolist(), trace, det)
 
 
 def assemble_orbit(
@@ -368,8 +383,8 @@ def assemble_orbit(
     points.  This is ``scan_srk``'s batched walk (``_walk``) run on one
     candidate: it checks the itinerary and multiplies the period Jacobian
     (the return Jacobian at the above-strip point, then k saddle factors)
-    equal to ``orbit_jacobian`` over the points bit for bit, and one
-    ``eval_map`` call on the last point gives the closing residual.
+    equal to ``orbit_jacobian`` over the points bit for bit, and maps the
+    last point once to give the closing residual.
     Raises ``ItineraryInvalidError`` when any point falls outside its
     required region (the closed form is then not a genuine orbit of the
     piecewise map).  An orbit that passes is minimal: its one point above
@@ -378,7 +393,7 @@ def assemble_orbit(
     walks = _walk(params, [k], [_point_above_strip(params, k, u)])
     if walks.violations:
         raise ItineraryInvalidError(walks.violations[0])
-    return walks.orbit(0, branch, walks.residual(params, 0))
+    return walks.orbit(0, branch)
 
 
 def _cycle_and_residual(
@@ -408,9 +423,9 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
     ``_STALL_ITER`` (10) accepted steps earlier, the seed counting as
     step 0: the test compares residuals only, so it sets no scale in
     coordinate units.  Runs that converge fall far faster than that.
-    Raises ``NotMinimalError`` when the converged orbit returns to its
-    first point (within ``MINIMALITY_TOL``) after a proper divisor d of
-    the period.
+    Raises ``NotMinimalError``, with the converged points, when the
+    converged orbit returns to its first point (within
+    ``MINIMALITY_TOL``) after a proper divisor d of the period.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -457,7 +472,7 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
         raise NoConvergenceError(iterations=NEWTON_MAX_ITER, last_residual=res)
     for d in _proper_divisors(period):
         if max(abs(pts[d].x - p.x), abs(pts[d].y - p.y)) <= MINIMALITY_TOL:
-            raise NotMinimalError(divisor=d)
+            raise NotMinimalError(divisor=d, points=pts)
     jac = orbit_jacobian(params, pts)
     tau, delta = jac.trace, jac.det
     return SRkOrbit(period - 1, pts, None, res, tau, delta, classify(tau, delta), "newton")
@@ -515,12 +530,12 @@ def _same_orbit(a: SRkOrbit, b: SRkOrbit) -> bool:
 
 def _same_points(prev: SRkOrbit, walks: _Walks, row: int) -> bool:
     """Whether walked ``row`` has exactly the points of ``prev``, an orbit
-    of the same k.  A closed-form orbit's points follow from its first
-    two, so those decide against another one."""
-    head = walks.points(row, min(walks.ks[row], 1) + 1)
-    if prev.points[: len(head)] != tuple(head):
-        return False
-    return prev.method == "closed-form" or prev.points == walks.points(row)
+    of the same k.  A closed-form orbit's points follow from its point 0,
+    so that decides against another one: ``prev`` is then the minus
+    root's orbit, walked in the next row."""
+    if prev.method == "closed-form":
+        return walks.same_start_as_next[row]
+    return prev.points == walks.points(row)
 
 
 def _closed_form_record(
@@ -548,7 +563,7 @@ def _closed_form_record(
                     k, branch, "duplicate", None, "newton converged onto another branch"
                 )
         return ScanRecord(k, branch, "newton", replace(orbit, branch=branch), str(err))
-    residual = walks.residual(params, row)
+    residual = walks.residual[row]
     if not residual <= CLOSING_TOL:  # also flags NaN residuals
         detail = f"closing residual {residual:.3e}"
         return ScanRecord(k, branch, "precision-limited", None, detail)
@@ -556,7 +571,7 @@ def _closed_form_record(
         if roots.u_minus == roots.u_plus:
             return ScanRecord(k, branch, "duplicate", None, "double root")
         return ScanRecord(k, branch, "precision-limited", None, "same points as minus")
-    return ScanRecord(k, branch, "closed-form", walks.orbit(row, branch, residual))
+    return ScanRecord(k, branch, "closed-form", walks.orbit(row, branch))
 
 
 def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
@@ -566,8 +581,9 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
     stray into the blend strip (and only there) are re-solved by Newton
     iteration seeded with the closed form.  Per-k failures are recorded,
     never raised.  Every (k, branch) with a real root is walked in one
-    batched pass (``_walk``), and points are built only for the orbits
-    that are kept.
+    batched pass (``_walk``), which also gives each one's closing
+    residual and whether the plus root repeats the minus root's points;
+    points are built only for the orbits that are kept.
 
     Where doubles cannot carry a closed-form orbit it is recorded as
     ``precision-limited``, never labelled: ``sigma**k`` overflows, its
@@ -639,16 +655,20 @@ def orbits_to_csv(orbits: Iterable[SRkOrbit]) -> str:
 
     Each distinct coordinate is formatted once per call: the SR_k family
     walks the same saddle passage, so its large-k orbits repeat most of
-    their coordinates.
+    their coordinates.  An orbit's rows share their head and tail, so
+    they are joined by tail + head.
     """
     cache = _ReprCache()
+    steps: list[str] = []  # str(j) for every j below the longest period so far
     parts = [_CSV_HEADER + "\n"]
     for orbit in orbits:
         branch = orbit.branch.value if orbit.branch is not None else ""
         head = f"{orbit.k},{orbit.period},{branch},"
         tail = f",{orbit.trace!r},{orbit.det!r},{orbit.stability.value},{orbit.residual!r}\n"
+        steps.extend(map(str, range(len(steps), orbit.period)))
         xs, ys = map(cache.__getitem__, orbit.points.xs), map(cache.__getitem__, orbit.points.ys)
-        parts.append("".join([f"{head}{j},{x},{y}{tail}" for j, x, y in zip(count(), xs, ys)]))
+        if orbit.period:
+            parts.append(head + (tail + head).join(map(",".join, zip(steps, xs, ys))) + tail)
     return "".join(parts)
 
 

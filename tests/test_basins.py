@@ -11,6 +11,7 @@ import pytest
 from srklab import (
     EXAMPLE_CASES,
     InvalidWindowError,
+    NotMinimalError,
     OrbitPoints,
     Point2,
     Rect,
@@ -593,6 +594,40 @@ class TestDoubleRound:
         assert np.any(relabels >= 0)
         first = classify_batch(params, registry, pts[unknown_idx[:1]], limits)[0][0]
         assert first == registry.entries[-1].id
+
+
+class TestCyclePolish:
+    """Retirement polishes each cycle once.  pn's double-round period-16
+    cycle is found at period 32 by many cells; Newton then reports it as
+    not minimal, and the cycle is kept as one no cell retires on."""
+
+    def test_pn_raster_reports_each_non_minimal_cycle_once(self, monkeypatch):
+        params = EXAMPLE_CASES["pn"]
+        registry = AttractorRegistry.from_orbits(params, scan_srk(params, 0, 15).orbits)
+        calls, failures = [], []
+
+        def polish(params, p, period):
+            calls.append(period)
+            try:
+                return newton_periodic(params, p, period)
+            except NotMinimalError as err:
+                failures.append((period, err))
+                raise
+
+        monkeypatch.setattr(basins, "newton_periodic", polish)
+        stats = raster(params, registry, WINDOW, 200, 200, ClassifyLimits()).stats
+        assert stats.cycle_cells[16] > 6000
+        assert failures and len(calls) <= 10
+        cycles = []
+        for period, err in failures:
+            points = np.array(err.points)
+            assert points.shape == (period, 2)
+            assert np.abs(points[err.divisor] - points[0]).max() <= 1e-8
+            for other in cycles:
+                # Some point lies off every earlier cycle: a distinct cycle.
+                gap = np.abs(points[:, None, :] - other[None, :, :]).max(axis=2).min(axis=1)
+                assert gap.max() > 1e-7
+            cycles.append(points)
 
 
 class TestPpm:

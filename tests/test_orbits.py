@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib
 import math
 import re
@@ -270,6 +271,12 @@ def _edge_candidates():
         # sigma < 0: step k - 1 is the highest positive height, and step
         # k lies far below the strip.
         "pn step k - 1 only": (pn, 4, Point2(0.57, 1.0), [3]),
+        # One closing gap NaN, the other not: the residual keeps the
+        # order of Python's max, which returns its first argument unless
+        # the second is greater (NaN here, 0.125 with numpy's fmax) ...
+        "x gap NaN": (pp, 0, Point2(math.nan, 0.5), [0]),
+        # ... (inf here, NaN with numpy's maximum).
+        "y gap NaN": (pp, 1, Point2(0.5, 1e200), [1]),
     }
 
 
@@ -291,7 +298,7 @@ class TestWalkItineraryEdges:
         assert list(map(repr, got.ys)) == [repr(p.y) for p in points]
         closing = eval_map(params, points[-1])
         residual = max(abs(closing.x - up.x), abs(closing.y - up.y))
-        assert repr(walks.residual(params, row)) == repr(residual)
+        assert repr(walks.residual[row]) == repr(residual)
 
     @pytest.mark.parametrize(
         "params, k, up, steps",
@@ -497,15 +504,16 @@ class TestSingleWalk:
         jac = orbit_jacobian(pp, orbit.points)
         assert (orbit.trace, orbit.det) == (jac.trace, jac.det)
 
-    def test_closed_form_makes_one_map_call(self, pp, eval_map_calls):
+    def test_closed_form_makes_no_scalar_map_call(self, pp, eval_map_calls):
+        # The walk closes every candidate with one array call; the residual
+        # must still be the scalar walk's, bit for bit.
         orbit = assemble_orbit(pp, 6, srk_quadratic(pp, 6).u_minus)
-        assert len(eval_map_calls) == 1
-        assert eval_map_calls == [orbit.points[-1]]
+        assert eval_map_calls == []
         walked = walk(pp, orbit.points[0], orbit.period)
         assert tuple(walked[:-1]) == orbit.points
-        assert orbit.residual == max(
-            abs(walked[-1].x - walked[0].x), abs(walked[-1].y - walked[0].y)
-        )
+        closing = max(abs(walked[-1].x - walked[0].x), abs(walked[-1].y - walked[0].y))
+        assert repr(orbit.residual) == repr(closing)
+        assert orbit.residual > 0.0  # a nonzero gap, so the bits are pinned
 
 
 def _scan_and_rasters():
@@ -737,6 +745,106 @@ class TestLargeK:
         minus, plus = result.records
         assert minus.status == "closed-form"
         assert (plus.status, plus.detail) == ("duplicate", "double root")
+
+
+# SHA-256 of each set's "k,branch,status,detail" lines and of its
+# ``orbits_to_csv`` text for ``scan_srk(0, 400)``, as the scan wrote them
+# when it decided one candidate at a time.
+LARGE_K_DIGESTS = {
+    "pp": (
+        "478b67b121bb83b1e0df436f282b02c2e225320121856daaedca5367dd284f00",
+        "80f5d35abe1b3787302309b01362ac7a5431293af0e3c61ce1ef31fe328dcca7",
+    ),
+    "nn": (
+        "89fa15a02d084efe340209681bd3745494ac0b6e14f04269e8f0fe42d62a72eb",
+        "2c7b866a59ee5a8b879283cdafb780acc5932c133154c1397274acfe84a97bac",
+    ),
+    "pn": (
+        "80d8dc318c9ce3de0ea5adcea7225cb4af8bc10cd9ecd967fdd6532803a08137",
+        "2df7eb798f254cd05e73a266f6ee6042e65911c5437e2a8a3ebb42dd2c95a91f",
+    ),
+    "np": (
+        "33a49009026086ad8ef47e16e4dee0408ae45b12dd8ae0e3c7665cb913c043a2",
+        "66c5823903cddc409206a9a17292cac6d6151b7ab54c310c5ca16576a5d7999e",
+    ),
+    "pp-perturbed": (
+        "21787423a6bb5e312ab427fefd02018645a735b0e464d63056a844aa52d6af18",
+        "63a5b1dcd415b3671178dc0626d2e9235ee86c9d5754452883ea5c03f2841f54",
+    ),
+}
+
+
+def _scan_walk(params, k_max):
+    """The closed-form candidates of k = 0..k_max walked as ``scan_srk``
+    walks them: descending k, the plus root before the minus root."""
+    ks, ups = [], []
+    for k in range(k_max + 1):
+        try:
+            roots = srk_quadratic(params, k)
+        except (OverflowError, DegenerateCoefficientsError):
+            continue
+        for branch in Branch:
+            u = roots.get(branch)
+            if u is not None:
+                ks.append(k)
+                ups.append(_point_above_strip(params, k, u))
+    return _walk(params, ks[::-1], ups[::-1])
+
+
+def _scalar_residual(params, points):
+    closing = eval_map(params, points[-1])
+    return max(abs(closing.x - points[0].x), abs(closing.y - points[0].y))
+
+
+class TestWalkDecisions:
+    """The scan decides its closed-form records from the walk's arrays:
+    each candidate's closing residual, and whether its point 0 repeats
+    the next row's.  Each must equal the scalar per-candidate value:
+    the residual of one ``eval_map`` call, and the comparison of the
+    first two points (one at k = 0) that the scan used to make."""
+
+    @pytest.mark.parametrize("name", sorted(LARGE_K_SETS))
+    def test_arrays_match_scalar_decisions(self, name):
+        params = LARGE_K_SETS[name]
+        walks = _scan_walk(params, 400)
+        n = len(walks.ks)
+        assert len(walks.residual) == len(walks.same_start_as_next) == n > 0
+        for row, k in enumerate(walks.ks):
+            points = walks.points(row)
+            assert repr(walks.residual[row]) == repr(_scalar_residual(params, points))
+            head = min(k, 1) + 1
+            same = row + 1 < n and points[:head] == walks.points(row + 1, head)[:head]
+            assert walks.same_start_as_next[row] is same, (k, row)
+        assert any(walks.same_start_as_next) and not all(walks.same_start_as_next)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_K_SETS))
+    def test_records_and_csv_keep_their_bytes(self, name):
+        result = scan_srk(LARGE_K_SETS[name], 0, 400)
+        lines = "".join(f"{r.k},{r.branch.value},{r.status},{r.detail}\n" for r in result.records)
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (lines, orbits_to_csv(result.orbits))
+        )
+        assert digests == LARGE_K_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(LARGE_K_SETS))
+    def test_k_max_zero(self, name):
+        # One point per candidate: the walk takes no step.
+        params = LARGE_K_SETS[name]
+        assert scan_srk(params, 0, 0).records == scan_srk(params, 0, 3).records[:2]
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 400])
+    def test_single_candidate(self, pp, k):
+        up = _point_above_strip(pp, k, srk_quadratic(pp, k).u_minus)
+        walks = _walk(pp, [k], [up])
+        assert walks.same_start_as_next == [False]
+        assert repr(walks.residual[0]) == repr(_scalar_residual(pp, walks.points(0)))
+
+    def test_no_candidate(self, pn):
+        # sigma < 0 leaves odd k without a real root.
+        walks = _walk(pn, [], [])
+        assert walks.residual == walks.same_start_as_next == walks.trace == []
+        assert [r.status for r in scan_srk(pn, 1, 1).records] == ["no-real-root"] * 2
 
 
 class TestOrbitCsv:
