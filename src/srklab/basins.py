@@ -184,13 +184,9 @@ class AttractorRegistry:
     def all_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(points, owner attractor id, period of owner) stacked over entries."""
         pts = np.concatenate([e.points for e in self.entries])
-        owner = np.concatenate(
-            [np.full(e.period, e.id, dtype=np.int64) for e in self.entries]
-        )
-        period = np.concatenate(
-            [np.full(e.period, e.period, dtype=np.int64) for e in self.entries]
-        )
-        return pts, owner, period
+        periods = np.array([e.period for e in self.entries], dtype=np.int64)
+        owner = np.repeat(np.array([e.id for e in self.entries], dtype=np.int64), periods)
+        return pts, owner, np.repeat(periods, periods)
 
 
 @dataclass
@@ -432,8 +428,7 @@ def classify_batch(
     labels = np.full(n, UNKNOWN, dtype=np.int32)
     iters = np.zeros(n, dtype=np.int64)
 
-    x = points[:, 0].astype(float).copy()
-    y = points[:, 1].astype(float).copy()
+    x, y = points[:, 0].astype(float), points[:, 1].astype(float)
     idx = np.arange(n)
     # Length of the run each point is on after the last step, and its
     # attractor (stale where the length is 0).
@@ -505,17 +500,13 @@ def classify_batch(
             hit, nearest, point, offset = hit[before], nearest[before], point[before], offset[before]
         att = owner[nearest]
         carried = np.where((offset == 0) & (candidate[point] == att), run[point], 0)
-        if m == 1:  # every hit is the first of its run
-            length = carried + 1
-        else:
-            cont = np.zeros(hit.size, dtype=bool)
-            cont[1:] = (hit[1:] - hit[:-1] == 1) & (offset[1:] > 0) & (att[1:] == att[:-1])
-            start = np.maximum.accumulate(np.where(cont, 0, np.arange(hit.size)))
-            length = np.arange(1, hit.size + 1) - start + carried[start]
+        cont = np.zeros(hit.size, dtype=bool)
+        cont[1:] = (hit[1:] - hit[:-1] == 1) & (offset[1:] > 0) & (att[1:] == att[:-1])
+        start = np.maximum.accumulate(np.where(cont, 0, np.arange(hit.size)))
+        length = np.arange(1, hit.size + 1) - start + carried[start]
         # A point ends at its first completed run, or else at its first escape.
         end = np.flatnonzero(length >= owner_period[nearest])
-        if m > 1:
-            end = end[_first_of_each(point[end])]
+        end = end[_first_of_each(point[end])]
         ended = point[end]
         if escape is None:
             gone = np.zeros(idx.size, dtype=bool)

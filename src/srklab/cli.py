@@ -50,6 +50,10 @@ _LIMITS = ClassifyLimits()
 # Most cells a basin raster may have: a raster peaks at about 106 bytes a
 # cell, so 2**24 cells take about 1.8 GB.
 _MAX_RASTER_CELLS = 2**24
+# Largest point record an SR_k scan over [k_min, k_max] may keep: the walk
+# records k_max + 1 points, 16 bytes each, for each of up to
+# 2 * (k_max - k_min + 1) candidates, so 0..5791 is the longest range from 0.
+_MAX_SCAN_RECORD_BYTES = 2**30
 
 # Every key of every command section as (kind, bound, default); _EXPECTED
 # says what each kind accepts.
@@ -147,8 +151,18 @@ def _check_section(name: str, section: Any) -> dict[str, Any]:
         for key, (kind, bound, default) in schema.items()
     }
     for low, high in (("k_min", "k_max"), ("growth_k_min", "growth_k_max")):
-        if low in filled and filled[low] > filled[high]:
+        if low not in filled:
+            continue
+        k_min, k_max = filled[low], filled[high]
+        if k_min > k_max:
             raise ConfigError(f"'{low}' must not exceed '{high}'")
+        record = 16 * (k_max + 1) * 2 * (k_max - k_min + 1)
+        if record > _MAX_SCAN_RECORD_BYTES:
+            raise ConfigError(
+                f"'{low}'..'{high}' = {k_min}..{k_max} needs a scan record of "
+                f"{record:,} bytes (16 * ({high} + 1) * 2 * ({high} - {low} + 1)), "
+                f"over the cap of {_MAX_SCAN_RECORD_BYTES:,}"
+            )
     return filled
 
 

@@ -284,14 +284,8 @@ def _refine(
         idx, rows = idx[ok], [r[ok] for r in rows]
         if idx.size == 0:
             break
-        at = idx + np.arange(1, idx.size + 1)
-        old = np.ones(seeds.size + idx.size, dtype=bool)
-        old[at] = False
         for level, new in enumerate(rows):
-            merged = np.empty((old.size,) + new.shape[1:])
-            merged[old] = chain[level]
-            merged[at] = new
-            chain[level] = merged
+            chain[level] = np.insert(chain[level], idx + 1, new, axis=0)
         stats.inserted_points += idx.size
     return chain
 

@@ -270,15 +270,13 @@ class _Walks(NamedTuple):
     the ``record`` of every point walked (``record[j]`` holds point j of
     every candidate, its x row then its y row; a candidate's entries are
     valid down to row k), its points outside their required region
-    (candidates without any are absent), its closing residual, whether
-    its point 0 equals the next row's (False for the last row), and its
+    (candidates without any are absent), its closing residual, and its
     period Jacobian's trace and det."""
 
     ks: Sequence[int]
     record: np.ndarray
     violations: dict[int, list[tuple[int, Region]]]
     residual: list[float]
-    same_start_as_next: list[bool]
     trace: list[float]
     det: list[float]
 
@@ -315,8 +313,9 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
     every value equals the one-point walk and ``orbit_jacobian`` over the
     points bit for bit; the 0.0 terms keep their signed zeros and NaNs.
     Every point is recorded, (k_max + 1) x candidates x 16 bytes while
-    the scan runs, and the itinerary is checked on each: point 0 must
-    lie at or above h1, points 1..k at or below h0.  One
+    the scan runs (a config range may ask for 2**30 bytes at most), and
+    the itinerary is checked on each: point 0 must lie at or above h1,
+    points 1..k at or below h0.  One
     ``eval_map_arrays`` call on every candidate's point k gives the
     closing residuals, with the bits of ``max`` over the scalar map's two
     gaps, NaN order included: where the itinerary holds, the map is the
@@ -363,14 +362,11 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
         close_x, close_y = eval_map_arrays(params, last[:, 0], last[:, 1])
         gap_x, gap_y = np.abs(close_x - xs[0]), np.abs(close_y - ys[0])
         residual = np.where(gap_y > gap_x, gap_y, gap_x).tolist()
-    # Each row's points are a function of its point 0 and its k.
-    same_start = np.zeros(n, dtype=bool)
-    same_start[:-1] = (record[0, :, :-1] == record[0, :, 1:]).all(axis=0)
     violations = {}
     for row in np.flatnonzero(stray.any(axis=0)).tolist():
         steps = np.flatnonzero(stray[:, row]).tolist()
         violations[row] = [(j, region_of(params, ys.item(j, row))) for j in steps]
-    return _Walks(ks, record, violations, residual, same_start.tolist(), trace, det)
+    return _Walks(ks, record, violations, residual, trace, det)
 
 
 def assemble_orbit(
@@ -398,10 +394,10 @@ def assemble_orbit(
 
 def _cycle_and_residual(
     params: MapParams, p: Point2, period: int
-) -> tuple[list[Point2], Point2]:
-    """The orbit [p, ..., f^(period-1)(p)] and its closing image f^period(p),
-    one ``eval_map`` call per step.  Raises ``EscapeError`` when the
-    closing gap is not finite.
+) -> tuple[list[Point2], Point2, float]:
+    """The orbit [p, ..., f^(period-1)(p)], its closing image f^period(p)
+    and the max-norm residual |f^period(p) - p|, one ``eval_map`` call per
+    step.  Raises ``EscapeError`` when the closing gap is not finite.
     """
     pts = [p]
     for _ in range(period):
@@ -409,7 +405,7 @@ def _cycle_and_residual(
     closing = pts.pop()
     if not (math.isfinite(closing.x - p.x) and math.isfinite(closing.y - p.y)):
         raise EscapeError(at_step=period)
-    return pts, closing
+    return pts, closing, max(abs(closing.x - p.x), abs(closing.y - p.y))
 
 
 def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
@@ -432,8 +428,7 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
     p = Point2(float(seed[0]), float(seed[1]))
     if max(abs(p.x), abs(p.y)) > _NEWTON_ESCAPE:
         raise NoConvergenceError(iterations=0, last_residual=math.inf)
-    pts, closing = _cycle_and_residual(params, p, period)
-    res = max(abs(closing.x - p.x), abs(closing.y - p.y))
+    pts, closing, res = _cycle_and_residual(params, p, period)
     residuals = [res]  # of the seed and of each accepted iterate
     for iteration in range(NEWTON_MAX_ITER):
         if res <= NEWTON_TOL:
@@ -448,11 +443,10 @@ def newton_periodic(params: MapParams, seed: Point2, period: int) -> SRkOrbit:
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             trial = Point2(p.x + step_scale * dx, p.y + step_scale * dy)
             try:
-                trial_pts, trial_closing = _cycle_and_residual(params, trial, period)
+                trial_pts, trial_closing, trial_res = _cycle_and_residual(params, trial, period)
             except EscapeError:
                 step_scale *= 0.5
                 continue
-            trial_res = max(abs(trial_closing.x - trial.x), abs(trial_closing.y - trial.y))
             if trial_res < res or trial_res <= NEWTON_TOL:
                 p, pts, closing, res = trial, trial_pts, trial_closing, trial_res
                 break
@@ -528,25 +522,18 @@ def _same_orbit(a: SRkOrbit, b: SRkOrbit) -> bool:
     return False
 
 
-def _same_points(prev: SRkOrbit, walks: _Walks, row: int) -> bool:
-    """Whether walked ``row`` has exactly the points of ``prev``, an orbit
-    of the same k.  A closed-form orbit's points follow from its point 0,
-    so that decides against another one: ``prev`` is then the minus
-    root's orbit, walked in the next row."""
-    if prev.method == "closed-form":
-        return walks.same_start_as_next[row]
-    return prev.points == walks.points(row)
-
-
 def _closed_form_record(
     params: MapParams,
     branch: Branch,
     roots: RootPair,
+    repeats_minus: bool,
     walks: _Walks,
     row: int,
     found: list[SRkOrbit],
 ) -> ScanRecord:
-    """The scan's outcome for walked ``row``, a root of ``branch``."""
+    """The scan's outcome for walked ``row``, a root of ``branch``;
+    ``repeats_minus`` says its point 0 is the minus root's, so it walks
+    the minus orbit, which was kept if this row passes its checks."""
     k = walks.ks[row]
     violations = walks.violations.get(row)
     if violations:
@@ -567,7 +554,7 @@ def _closed_form_record(
     if not residual <= CLOSING_TOL:  # also flags NaN residuals
         detail = f"closing residual {residual:.3e}"
         return ScanRecord(k, branch, "precision-limited", None, detail)
-    if found and found[-1].k == k and _same_points(found[-1], walks, row):
+    if repeats_minus:
         if roots.u_minus == roots.u_plus:
             return ScanRecord(k, branch, "duplicate", None, "double root")
         return ScanRecord(k, branch, "precision-limited", None, "same points as minus")
@@ -582,8 +569,9 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
     iteration seeded with the closed form.  Per-k failures are recorded,
     never raised.  Every (k, branch) with a real root is walked in one
     batched pass (``_walk``), which also gives each one's closing
-    residual and whether the plus root repeats the minus root's points;
-    points are built only for the orbits that are kept.
+    residual; points are built only for the orbits that are kept.  An
+    orbit's points follow from its point 0 and k, so the plus root
+    repeats the minus root's orbit when their above-strip points are equal.
 
     Where doubles cannot carry a closed-form orbit it is recorded as
     ``precision-limited``, never labelled: ``sigma**k`` overflows, its
@@ -593,8 +581,8 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
     """
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
-    # Each slot is a finished record or the (branch, roots) of a candidate.
-    slots: list[ScanRecord | tuple[Branch, RootPair]] = []
+    # Each slot is a finished record or a candidate's (branch, roots, repeats_minus).
+    slots: list[ScanRecord | tuple[Branch, RootPair, bool]] = []
     ks: list[int] = []
     ups: list[Point2] = []
     for k in range(k_min, k_max + 1):
@@ -606,14 +594,15 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
         except DegenerateCoefficientsError as err:  # d5 == 0, c1*lam**k == 1, or qa == 0
             slots += [ScanRecord(k, b, "degenerate", None, str(err)) for b in Branch]
             continue
-        for branch in Branch:
-            u = roots.get(branch)
-            if u is None:
-                slots.append(ScanRecord(k, branch, "no-real-root", None, "negative discriminant"))
-            else:
-                slots.append((branch, roots))
-                ks.append(k)
-                ups.append(_point_above_strip(params, k, u))
+        if roots.u_minus is None:  # both roots are absent together
+            detail = "negative discriminant"
+            slots += [ScanRecord(k, b, "no-real-root", None, detail) for b in Branch]
+            continue
+        minus = _point_above_strip(params, k, roots.u_minus)
+        plus = _point_above_strip(params, k, roots.u_plus)
+        slots += [(Branch.MINUS, roots, False), (Branch.PLUS, roots, plus == minus)]
+        ks += [k, k]
+        ups += [minus, plus]
     # Walk in descending k, so the rows still walking form a prefix.
     walks = _walk(params, ks[::-1], ups[::-1])
     row = len(ks)

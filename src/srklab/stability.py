@@ -55,14 +55,16 @@ def orbit_jacobian(params: MapParams, points: Sequence[Point2]) -> Jacobian2:
     as accurate as the points.  For |sigma| = 1.25 the closed-form SR_k
     orbits lose their above-strip point near k ~ 150-170, where
     ``y_star + u`` rounds to ``y_star``; ``scan_srk`` flags such orbits
-    ``precision-limited`` (they do not close, or both roots give the same
-    points) instead of labelling them from this product.
+    ``precision-limited`` (they do not close, or the plus root's
+    above-strip point equals the minus root's) instead of labelling them
+    from this product.
 
     Newton's steps and labels use this product, and the tests use it as
     the reference.  Closed-form orbits, whose itinerary is known, get the
     same product bit for bit from the batched walk of ``scan_srk`` and
     ``assemble_orbit``, which applies the saddle factors to every
-    candidate at once, beside the record of the points it walks.
+    candidate at once, writing out the 0.0 terms of ``Jacobian2.matmul``
+    as array operations.
     """
     total = Jacobian2.identity()
     for p in points:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import re
 import warnings
 from collections import Counter
@@ -694,6 +695,40 @@ class TestPpm:
         want.extend(",".join(str(int(v)) for v in labels[:, iy]) for iy in range(3))
         assert labels_csv(grid) == "\n".join(want) + "\n"
         assert labels_csv(grid).splitlines()[2] == "-1,12,-2,2"
+
+
+# SHA-256 of the labels, the iteration counts and the ``IterationStats``
+# (``cycle_cells`` and ``budget_spent`` included) of the benchmark's four
+# rasters on the shipped window: pp and np at 200x200 with registry
+# k <= 30, pn and nn at 40x40 with registry k <= 15.
+BASIN_DIGESTS = {
+    "pp": "57408f663747018e25093f655139d5122806a3c4e36d08b5044d3bf570a50d16",
+    "np": "2943ae3478b178011b8c030bd15187156632b218f5bbe43d007163c9d8afa9c1",
+    "pn": "b6b888c6a97bc5cead990b8d6c97fbbdf1cd80d1e584dda5a2cbded82e4109f9",
+    "nn": "de9b7e591b43486089fe8094c68949e575fbf5d50db25932857a86742e145658",
+}
+
+
+class TestBasinDigests:
+    @pytest.mark.parametrize(
+        "name, n, k_max", [("pp", 200, 30), ("np", 200, 30), ("pn", 40, 15), ("nn", 40, 15)]
+    )
+    def test_labels_counts_and_stats_keep_their_bytes(self, monkeypatch, name, n, k_max):
+        params = EXAMPLE_CASES[name]
+        registry = AttractorRegistry.from_orbits(params, scan_srk(params, 0, k_max).orbits)
+        counts = []
+
+        def keep_counts(*args, **kwargs):
+            labels, iters = classify_batch(*args, **kwargs)
+            counts.append(iters)
+            return labels, iters
+
+        monkeypatch.setattr(basins, "classify_batch", keep_counts)
+        grid = raster(params, registry, WINDOW, n, n)
+        digest = hashlib.sha256(grid.labels.astype(np.int32).tobytes())
+        digest.update(counts[0].astype(np.int64).tobytes())
+        digest.update(repr(dataclasses.asdict(grid.stats)).encode())
+        assert digest.hexdigest() == BASIN_DIGESTS[name]
 
 
 class TestFractions:

@@ -93,6 +93,40 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "bad.json", {"params": PP_PARAMS, "orbits": {}})
         assert main(["check-theory", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "section, low, high",
+        [
+            ("orbits", "k_min", "k_max"),
+            ("theory", "growth_k_min", "growth_k_max"),
+            ("basins", "k_min", "k_max"),
+        ],
+    )
+    @pytest.mark.parametrize("k_range", [(0, 5792), (0, 200000), (100000, 200000)])
+    def test_scan_range_over_the_record_cap(self, tmp_path, capsys, section, low, high, k_range):
+        # Checked when the config loads: no scan is run.  Slowly growing
+        # params keep a real root at every k, so such a scan would try to
+        # hold (k_max + 1) x 2 x (k_max - k_min + 1) points.
+        params = {"lambda": 0.999, "sigma": 1.001, "c2": -0.5, "d1": 1.0, "d5": 1.0}
+        body = {
+            "params": params,
+            "output_dir": str(tmp_path / "out"),
+            section: {low: k_range[0], high: k_range[1]},
+        }
+        cfg = write_config(tmp_path, "big.json", body)
+        assert main([COMMANDS[section], "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"'{low}'..'{high}' = {k_range[0]}..{k_range[1]} needs a scan record" in err
+        assert "over the cap of 1,073,741,824" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["orbits", "theory", "basins"])
+    @pytest.mark.parametrize("k_range", [(0, 5791), (0, 1021), (3170, 3190), (200000, 200000)])
+    def test_scan_range_under_the_record_cap_loads(self, tmp_path, section, k_range):
+        low, high = ("growth_k_min", "growth_k_max") if section == "theory" else ("k_min", "k_max")
+        body = {"params": PP_PARAMS, section: {low: k_range[0], high: k_range[1]}}
+        filled = load_config(write_config(tmp_path, "ok.json", body), section).section
+        assert (filled[low], filled[high]) == k_range
+
     def test_missing_file(self, tmp_path):
         assert main(["find-orbits", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 

@@ -774,10 +774,11 @@ LARGE_K_DIGESTS = {
 }
 
 
-def _scan_walk(params, k_max):
-    """The closed-form candidates of k = 0..k_max walked as ``scan_srk``
-    walks them: descending k, the plus root before the minus root."""
-    ks, ups = [], []
+def _scan_candidates(params, k_max):
+    """The closed-form candidates (k, branch, above-strip point) of
+    k = 0..k_max in the order ``scan_srk`` lists them: ascending k, the
+    minus root before the plus root."""
+    candidates = []
     for k in range(k_max + 1):
         try:
             roots = srk_quadratic(params, k)
@@ -786,9 +787,15 @@ def _scan_walk(params, k_max):
         for branch in Branch:
             u = roots.get(branch)
             if u is not None:
-                ks.append(k)
-                ups.append(_point_above_strip(params, k, u))
-    return _walk(params, ks[::-1], ups[::-1])
+                candidates.append((k, branch, _point_above_strip(params, k, u)))
+    return candidates
+
+
+def _scan_walk(params, candidates):
+    """The candidates walked as ``scan_srk`` walks them, in descending k:
+    candidate i is walk row len(candidates) - 1 - i."""
+    reverse = candidates[::-1]
+    return _walk(params, [k for k, _, _ in reverse], [up for _, _, up in reverse])
 
 
 def _scalar_residual(params, points):
@@ -797,25 +804,51 @@ def _scalar_residual(params, points):
 
 
 class TestWalkDecisions:
-    """The scan decides its closed-form records from the walk's arrays:
-    each candidate's closing residual, and whether its point 0 repeats
-    the next row's.  Each must equal the scalar per-candidate value:
-    the residual of one ``eval_map`` call, and the comparison of the
-    first two points (one at k = 0) that the scan used to make."""
+    """The walk gives each candidate's closing residual, which must equal
+    the residual of one scalar ``eval_map`` call.  The scan decides, where
+    it builds both roots of one k, whether the plus root repeats the minus
+    root: exactly when their above-strip points are equal."""
 
     @pytest.mark.parametrize("name", sorted(LARGE_K_SETS))
     def test_arrays_match_scalar_decisions(self, name):
         params = LARGE_K_SETS[name]
-        walks = _scan_walk(params, 400)
-        n = len(walks.ks)
-        assert len(walks.residual) == len(walks.same_start_as_next) == n > 0
-        for row, k in enumerate(walks.ks):
-            points = walks.points(row)
-            assert repr(walks.residual[row]) == repr(_scalar_residual(params, points))
-            head = min(k, 1) + 1
-            same = row + 1 < n and points[:head] == walks.points(row + 1, head)[:head]
-            assert walks.same_start_as_next[row] is same, (k, row)
-        assert any(walks.same_start_as_next) and not all(walks.same_start_as_next)
+        walks = _scan_walk(params, _scan_candidates(params, 400))
+        assert len(walks.residual) == len(walks.ks) > 0
+        for row in range(len(walks.ks)):
+            residual = _scalar_residual(params, walks.points(row))
+            assert repr(walks.residual[row]) == repr(residual), (walks.ks[row], row)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_K_SETS))
+    def test_plus_repeats_minus_exactly_when_its_point_0_does(self, name):
+        # For every k with real roots, the plus record is "double root" or
+        # "same points as minus" exactly when the two above-strip points are
+        # equal and the plus row passes its itinerary and residual checks.
+        params = LARGE_K_SETS[name]
+        candidates = _scan_candidates(params, 400)
+        walks = _scan_walk(params, candidates)
+        row = {(k, b): len(candidates) - 1 - i for i, (k, b, _) in enumerate(candidates)}
+        up = {(k, b): p for k, b, p in candidates}
+        records = {(r.k, r.branch): r for r in scan_srk(params, 0, 400).records}
+        outcomes = set()
+        for k in sorted({k for k, _, _ in candidates}):
+            minus, plus = up[(k, Branch.MINUS)], up[(k, Branch.PLUS)]
+            same = minus.x == plus.x and minus.y == plus.y
+            r = row[(k, Branch.PLUS)]
+            passed = r not in walks.violations and walks.residual[r] <= CLOSING_TOL
+            detail = records[(k, Branch.PLUS)].detail
+            repeats = detail in ("double root", "same points as minus")
+            assert repeats is (same and passed), (k, detail)
+            outcomes.add(repeats)
+        assert outcomes == {False, True}
+
+    def test_binary_exact_family(self, pp):
+        # lam = 1/2, sigma = 2: u_minus = 0 and u_plus = 1.5 * 2**-k, which
+        # from k = 54 on is below half the spacing of doubles at y_star = 1,
+        # so every plus root gives the minus root's above-strip point.
+        records = scan_srk(pp.replace(lam=0.5, sigma=2.0), 0, 1021).records
+        same = [r for r in records if r.detail == "same points as minus"]
+        assert [r.k for r in same] == list(range(54, 1022))
+        assert all(r.branch is Branch.PLUS and r.status == "precision-limited" for r in same)
 
     @pytest.mark.parametrize("name", sorted(LARGE_K_SETS))
     def test_records_and_csv_keep_their_bytes(self, name):
@@ -837,13 +870,12 @@ class TestWalkDecisions:
     def test_single_candidate(self, pp, k):
         up = _point_above_strip(pp, k, srk_quadratic(pp, k).u_minus)
         walks = _walk(pp, [k], [up])
-        assert walks.same_start_as_next == [False]
         assert repr(walks.residual[0]) == repr(_scalar_residual(pp, walks.points(0)))
 
     def test_no_candidate(self, pn):
         # sigma < 0 leaves odd k without a real root.
         walks = _walk(pn, [], [])
-        assert walks.residual == walks.same_start_as_next == walks.trace == []
+        assert walks.residual == walks.trace == []
         assert [r.status for r in scan_srk(pn, 1, 1).records] == ["no-real-root"] * 2
 
 
