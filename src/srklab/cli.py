@@ -248,8 +248,6 @@ def cmd_find_orbits(config: ExperimentConfig) -> int:
 
 def cmd_check_theory(config: ExperimentConfig) -> int:
     report = full_report(config.params)
-    os.makedirs(config.output_dir, exist_ok=True)
-
     blocks = [report.to_text()]
     payload: dict[str, Any] = {"report": report.to_dict(), "growth": []}
     k_lo, k_hi = config.section["growth_k_min"], config.section["growth_k_max"]
@@ -272,6 +270,7 @@ def cmd_check_theory(config: ExperimentConfig) -> int:
         payload["growth"].append({"perturbation": entry, **asdict(diag)})
 
     text = "\n\n".join(blocks) + "\n"
+    os.makedirs(config.output_dir, exist_ok=True)
     _write(os.path.join(config.output_dir, "theory.txt"), text)
     _write(
         os.path.join(config.output_dir, "theory.json"),

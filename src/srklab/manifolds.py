@@ -179,20 +179,20 @@ def _blend_newton(
     return Point2(x, y), iters, res
 
 
-def _blend_preimages(
-    params: MapParams, q: Point2, guesses: list[tuple[Point2, np.ndarray]]
-) -> np.ndarray:
+def _blend_preimages(params: MapParams, q: Point2, guesses: list[Point2]) -> np.ndarray:
     """Preimages inside the blend strip of the points q (parallel arrays).
 
-    Each (guess, rows) pair is tried in list order on the marked rows that
-    no earlier guess has solved: a row is solved by the point its Newton
-    reaches when the residual is at most 1e-10 and the point lies strictly
-    inside the strip.  Returns an (n, 2) array, NaN on unsolved rows.
+    Each guess is tried in list order on the rows that no earlier guess
+    has solved: a row is solved by the point its Newton reaches when the
+    residual is at most 1e-10 and the point lies strictly inside the
+    strip.  A guess with a coordinate that is not finite keeps a residual
+    that is not finite, so it solves no row.  Returns an (n, 2) array,
+    NaN on unsolved rows.
     """
     out = np.full((q.x.size, 2), np.nan)
     todo = np.ones(q.x.size, dtype=bool)
-    for guess, rows in guesses:
-        idx = np.flatnonzero(todo & rows)
+    for guess in guesses:
+        idx = np.flatnonzero(todo)
         if idx.size == 0:
             continue
         p, _, res = _blend_newton(
@@ -437,10 +437,9 @@ def _preimage_points(
         if pts.shape[0] == 0:
             return np.full((0, 2), np.nan)
         q = Point2(pts[:, 0], pts[:, 1])
-        every = np.ones(pts.shape[0], dtype=bool)
-        guesses = [(invert_saddle(params, q), every), (invert_return(params, q), every)]
+        guesses = [invert_saddle(params, q), invert_return(params, q)]
         if prev is not None:
-            guesses.insert(0, (Point2(prev[:, 0], prev[:, 1]), np.isfinite(prev).all(axis=1)))
+            guesses.insert(0, Point2(prev[:, 0], prev[:, 1]))
         return _blend_preimages(params, q, guesses)
     if branch == "saddle":
         out = np.column_stack(invert_saddle(params, Point2(pts[:, 0], pts[:, 1])))

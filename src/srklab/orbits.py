@@ -96,16 +96,6 @@ class RootPair:
         return self.u_minus if branch is Branch.MINUS else self.u_plus
 
 
-_FLOAT = frozenset({float})
-
-
-def _exact_floats(column: Iterable[float]) -> tuple[float, ...]:
-    """``column`` as a tuple of Python floats (``np.float64`` and ``int``
-    values converted, so every coordinate formats as a plain float)."""
-    column = tuple(column)
-    return column if _FLOAT.issuperset(map(type, column)) else tuple(map(float, column))
-
-
 class OrbitPoints(Sequence):
     """An orbit's points as two coordinate tuples of Python floats, ``xs``
     and ``ys``.
@@ -118,23 +108,18 @@ class OrbitPoints(Sequence):
     __slots__ = ("xs", "ys")
 
     def __init__(self, xs: Iterable[float], ys: Iterable[float]) -> None:
-        self.xs = _exact_floats(xs)
-        self.ys = _exact_floats(ys)
+        # float() passes a Python float through as itself and converts an
+        # np.float64 or int, so every coordinate formats as a plain float.
+        self.xs = tuple(map(float, xs))
+        self.ys = tuple(map(float, ys))
 
     @classmethod
     def _of_floats(cls, xs: list[float], ys: list[float]) -> "OrbitPoints":
         """Columns known to hold Python floats only, as ``tolist()`` of a
-        float64 array gives them: taken without the type scan."""
+        float64 array gives them: taken without a ``float()`` per value."""
         points = cls.__new__(cls)
         points.xs, points.ys = tuple(xs), tuple(ys)
         return points
-
-    @classmethod
-    def of(cls, points: Sequence[Point2]) -> "OrbitPoints":
-        """``points`` itself if it is an ``OrbitPoints``, else its columns."""
-        if isinstance(points, OrbitPoints):
-            return points
-        return cls(tuple(p[0] for p in points), tuple(p[1] for p in points))
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -188,7 +173,10 @@ class SRkOrbit:
     method: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", OrbitPoints.of(self.points))
+        points = self.points
+        if not isinstance(points, OrbitPoints):
+            columns = [p[0] for p in points], [p[1] for p in points]
+            object.__setattr__(self, "points", OrbitPoints(*columns))
         for name in ("residual", "trace", "det"):
             value = getattr(self, name)
             if type(value) is not float:
@@ -242,13 +230,16 @@ def srk_quadratic(params: MapParams, k: int) -> RootPair:
     qa, qb, qc = _quadratic_coefficients(params, k)
     if qa == 0.0:
         raise DegenerateCoefficientsError(f"vanishing leading coefficient at k={k}")
-    disc = qb * qb - 4.0 * qa * qc
+    # 4 * qa and 2 * qa overflow once qa passes 4.5e307 and 9e307; scaling
+    # the product and the quotient instead is exact, so it gives the same
+    # bits wherever both forms are finite.
+    disc = qb * qb - 4.0 * (qa * qc)
     if disc < 0.0:
         return RootPair(None, None)
     root = math.sqrt(disc)
     return RootPair(
-        u_minus=(-qb - root) / (2.0 * qa),
-        u_plus=(-qb + root) / (2.0 * qa),
+        u_minus=(-qb - root) / 2.0 / qa,
+        u_plus=(-qb + root) / 2.0 / qa,
     )
 
 
@@ -280,12 +271,9 @@ class _Walks(NamedTuple):
     trace: list[float]
     det: list[float]
 
-    def points(self, row: int, count: int | None = None) -> OrbitPoints:
-        """The first ``count`` recorded points of candidate ``row``; all
-        k + 1 of its orbit by default."""
-        stop = self.ks[row] + 1 if count is None else count
-        xs, ys = self.record[:stop, 0, row], self.record[:stop, 1, row]
-        return OrbitPoints._of_floats(xs.tolist(), ys.tolist())
+    def points(self, row: int) -> OrbitPoints:
+        """The k + 1 recorded points of candidate ``row``'s orbit."""
+        return OrbitPoints._of_floats(*self.record[: self.ks[row] + 1, :, row].T.tolist())
 
     def orbit(self, row: int, branch: Branch | None) -> SRkOrbit:
         tau, delta = self.trace[row], self.det[row]
@@ -541,7 +529,7 @@ def _closed_form_record(
         if not all(region is Region.BLEND for _, region in violations):
             return ScanRecord(k, branch, "itinerary-invalid", None, str(err))
         try:
-            orbit = newton_periodic(params, walks.points(row, 1)[0], k + 1)
+            orbit = newton_periodic(params, walks.record[0, :, row], k + 1)
         except (NoConvergenceError, SingularJacobianError, NotMinimalError, EscapeError) as nerr:
             return ScanRecord(k, branch, "newton-failed", None, str(nerr))
         for other in found:
@@ -567,17 +555,17 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
     The closed form is used where its itinerary is valid; orbits that
     stray into the blend strip (and only there) are re-solved by Newton
     iteration seeded with the closed form.  Per-k failures are recorded,
-    never raised.  Every (k, branch) with a real root is walked in one
+    never raised.  Every (k, branch) with a finite root is walked in one
     batched pass (``_walk``), which also gives each one's closing
     residual; points are built only for the orbits that are kept.  An
     orbit's points follow from its point 0 and k, so the plus root
     repeats the minus root's orbit when their above-strip points are equal.
 
     Where doubles cannot carry a closed-form orbit it is recorded as
-    ``precision-limited``, never labelled: ``sigma**k`` overflows, its
-    points do not close to ``CLOSING_TOL`` under ``eval_map``, or the plus
-    root gives the minus orbit's points.  An exact double root is a
-    ``duplicate``.
+    ``precision-limited``, never labelled: ``sigma**k`` or the quadratic
+    formula overflows, its points do not close to ``CLOSING_TOL`` under
+    ``eval_map``, or the plus root gives the minus orbit's points.  An
+    exact double root is a ``duplicate``.
     """
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
@@ -600,9 +588,16 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
             continue
         minus = _point_above_strip(params, k, roots.u_minus)
         plus = _point_above_strip(params, k, roots.u_plus)
-        slots += [(Branch.MINUS, roots, False), (Branch.PLUS, roots, plus == minus)]
-        ks += [k, k]
-        ups += [minus, plus]
+        pair = ((Branch.MINUS, minus, False), (Branch.PLUS, plus, plus == minus))
+        for branch, up, repeats in pair:
+            u = roots.get(branch)
+            if not math.isfinite(u):
+                detail = f"quadratic formula overflows (u = {u})"
+                slots.append(ScanRecord(k, branch, "precision-limited", None, detail))
+                continue
+            slots.append((branch, roots, repeats))
+            ks.append(k)
+            ups.append(up)
     # Walk in descending k, so the rows still walking form a prefix.
     walks = _walk(params, ks[::-1], ups[::-1])
     row = len(ks)

@@ -50,21 +50,10 @@ class AsymptoticPrediction:
 def orbit_jacobian(params: MapParams, points: Sequence[Point2]) -> Jacobian2:
     """Ordered Jacobian product Df(p_{n-1}) ... Df(p_0) over one period.
 
-    The empty product is the identity.  Entries grow like |sigma|**n,
-    far below overflow at any period a scan reaches; the product is only
-    as accurate as the points.  For |sigma| = 1.25 the closed-form SR_k
-    orbits lose their above-strip point near k ~ 150-170, where
-    ``y_star + u`` rounds to ``y_star``; ``scan_srk`` flags such orbits
-    ``precision-limited`` (they do not close, or the plus root's
-    above-strip point equals the minus root's) instead of labelling them
-    from this product.
-
-    Newton's steps and labels use this product, and the tests use it as
-    the reference.  Closed-form orbits, whose itinerary is known, get the
-    same product bit for bit from the batched walk of ``scan_srk`` and
-    ``assemble_orbit``, which applies the saddle factors to every
-    candidate at once, writing out the 0.0 terms of ``Jacobian2.matmul``
-    as array operations.
+    The empty product is the identity; the product is only as accurate
+    as the points.  Newton's steps and labels, the registry's label check
+    and the tests use it as the reference for every orbit's trace and
+    determinant.
     """
     total = Jacobian2.identity()
     for p in points:

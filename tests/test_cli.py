@@ -319,7 +319,8 @@ class TestFindOrbits:
         cfg = orbit_config(tmp_path, k_min=3170, k_max=3190)
         assert main(["find-orbits", "--config", cfg]) == EXIT_OK
         summary = (tmp_path / "out" / "summary.csv").read_text()
-        assert ",newton-failed," in summary and ",precision-limited," in summary
+        assert ",closed-form," in summary and ",precision-limited," in summary
+        assert ",newton-failed," not in summary
 
     @pytest.mark.parametrize(
         "override",
@@ -397,6 +398,20 @@ class TestCheckTheory:
         assert "Traceback" not in captured.err
         report = json.loads((tmp_path / "out" / "theory.json").read_text())
         assert "error" in report["growth"][0]
+
+    def test_bad_perturbation_leaves_no_output_dir(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "theory.json",
+            {
+                "params": PP_PARAMS,
+                "output_dir": str(tmp_path / "out"),
+                "theory": {"perturbations": [{"bogus": 1.0}]},
+            },
+        )
+        assert main(["check-theory", "--config", cfg]) == EXIT_CONFIG
+        assert "bad perturbation" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestManifolds:

@@ -273,12 +273,15 @@ def reference_blend_preimages(params, pts, prev) -> np.ndarray:
 
 def strip_problem(params, rng, n=1000):
     """Images q of n points in the strip, noisy continuity guesses, and rows
-    that diverge, carry a NaN, or have no finite guess."""
+    that diverge, carry a NaN, or have no finite guess or a guess that is
+    NaN in one coordinate only."""
     xs = rng.uniform(-1.5, 1.5, n)
     ys = rng.uniform(params.h0, params.h1, n)
     q = np.array([eval_map(params, Point2(x, y)) for x, y in zip(xs.tolist(), ys.tolist())])
     prev = np.column_stack((xs, ys)) + rng.normal(0.0, 0.05, (n, 2))
     prev[::7] = np.nan
+    prev[5::23, 0] = np.nan
+    prev[6::29, 1] = np.nan
     prev[1::11] = rng.uniform(-1e3, 1e3, (prev[1::11].shape[0], 2))
     q[2::13] = rng.uniform(-50.0, 50.0, (q[2::13].shape[0], 2))
     q[3::17, 1] = np.nan
@@ -323,6 +326,8 @@ class TestBlendNewtonArrays:
         assert_newton_rows_match(params, q, saddle)
         iters, res = assert_newton_rows_match(params, q, prev)
         assert (res <= 1e-10).sum() > 500
+        # A guess with a NaN coordinate never reaches a finite residual.
+        assert not np.isfinite(res[np.isnan(prev).any(axis=1)]).any()
         assert np.isinf(res).any()  # some guesses diverge
         assert same_bits(
             _preimage_points(params, q, "blend", prev), reference_blend_preimages(params, q, prev)

@@ -43,8 +43,7 @@ def _one_row(p) -> Point2:
 def invert_blend(params, q, guesses):
     """The preimage of q inside the blend strip from the first guess that
     reaches one (``_blend_preimages`` on one row), or None."""
-    every = np.ones(1, dtype=bool)
-    out = _blend_preimages(params, _one_row(q), [(_one_row(g), every) for g in guesses])[0]
+    out = _blend_preimages(params, _one_row(q), [_one_row(g) for g in guesses])[0]
     return None if np.isnan(out).any() else Point2(float(out[0]), float(out[1]))
 
 

@@ -608,13 +608,15 @@ class TestScan:
         assert stable_k == [1, 3, 5, 7, 9, 11, 13, 15]
 
     def test_very_large_k_recorded_not_raised(self, pp):
-        # Near k = 3175 the Newton seed's orbit escapes; from k = 3181
+        # From k = 3175 the quadratic's leading coefficient is past 4.5e307,
+        # yet the minus orbit (u = 0) stays closed-form; from k = 3181
         # sigma**k overflows the double range.
         result = scan_srk(pp, 3170, 3190)
         by_status = {}
         for r in result.records:
             by_status.setdefault(r.status, set()).add(r.k)
-        assert 3175 in by_status["newton-failed"]
+        assert "newton-failed" not in by_status
+        assert set(range(3170, 3181)) <= by_status["closed-form"]
         assert set(range(3181, 3191)) <= by_status["precision-limited"]
         assert all(r.detail for r in result.records if r.status == "precision-limited")
         # Below the overflow only the plus branch is flagged: it rounds onto
@@ -622,6 +624,22 @@ class TestScan:
         for r in result.records:
             if r.status == "precision-limited" and r.k < 3181:
                 assert r.branch is Branch.PLUS and "same points" in r.detail
+
+    def test_overflowing_quadratic_terms(self, pp, np_case):
+        # lam = 1/2, sigma = 2: 4 * qa and then 2 * qa overflow at k = 1022
+        # and 1023, where the minus orbit is u = 0 exactly.
+        records = scan_srk(pp.replace(lam=0.5, sigma=2.0), 1018, 1025).records
+        assert [r.status for r in records if r.k in (1022, 1023)] == [
+            "closed-form", "precision-limited", "closed-form", "precision-limited"
+        ]
+        assert all(r.status != "newton-failed" for r in records)
+        # With lam = -1/2 the discriminant itself overflows at k = 1022, so
+        # both roots come out infinite.
+        records = scan_srk(np_case.replace(lam=-0.5, sigma=2.0), 1022, 1022).records
+        assert [(r.status, r.detail) for r in records] == [
+            ("precision-limited", "quadratic formula overflows (u = -inf)"),
+            ("precision-limited", "quadratic formula overflows (u = inf)"),
+        ]
 
     def test_degenerate_coefficients_recorded_not_raised(self, pp):
         # d5 = 0 leaves no quadratic at any k; c1 = 1 zeroes 1 - c1*lam**k
