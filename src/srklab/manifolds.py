@@ -1,21 +1,23 @@
 """Growing the one-dimensional invariant manifolds of the origin.
 
 The unstable manifold is grown by mapping a fundamental segment of the
-local unstable axis forward.  Every seed of every generation, refinement
-midpoints included, walks from generation 0 as one batch.  That walk
-starts with the saddle passage: while the whole batch lies below the
-switching strip, f is the linear saddle piece, so it steps by
-``eval_saddle`` alone and takes only the steps after it through the
-full map.  The one-seed re-walks of tangency sharpening step by
-``eval_map`` alone, which picks the saddle piece itself.
+local unstable axis forward.  Every generation's seeds go in one chain,
+in generation order, and every seed, refinement midpoints included,
+walks from generation 0: one batch per round for all generations, its
+rows in order of descending generation.  That walk starts with the
+saddle passage: while the rows still walking lie below the switching
+strip, f is the linear saddle piece, so it steps by ``eval_saddle``
+alone and takes only the steps after it through the full map.  The
+one-seed re-walks of tangency sharpening step by ``eval_map`` alone,
+which picks the saddle piece itself.
 The stable set is grown backwards as a preimage tree, branching over the
 analytic inverses of the two map pieces and a Newton inverse inside the
 blend strip (the map is non-invertible, so the stable set has several
 branches); the blend inverse runs as one masked Newton over all points
 of a tree level.  Both are refined by one loop, ``_refine``: it bisects
-the straight seed segment wherever a curve gap or turning angle exceeds
-tolerance and maps each midpoint through the known stages to the curve.
-``_finish`` clips and measures both.
+the straight seed segments wherever a curve gap or turning angle exceeds
+tolerance, never across two generations, and maps each midpoint through
+the known stages to the curve.  ``_finish`` clips and measures both.
 
 Tangential touches of the x-axis are located on the traced curve and
 sharpened by golden-section search on the seed parameter.
@@ -88,8 +90,12 @@ class ManifoldCurve:
     unstable curve, or to the preimage branch that a stable curve was cut
     from.  Every sample made counts against the point budget: the
     refinement round or new stage that would cross it is cut to fit, no
-    stage is started after it, and ``refinement.budget_exhausted`` is set
-    on the unstable curve, or on every curve of the stable set.
+    round or stage is started after it, and ``refinement.budget_exhausted``
+    is set on the unstable curve, or on every curve of the stable set.
+    The unstable curve's first stage is 33 seeds for each generation in
+    order, so a cut there ends the curve inside a generation; a later
+    round is cut in generation order, so a curve cut there spans every
+    generation, the later ones more coarsely.
     """
 
     points: np.ndarray
@@ -214,27 +220,32 @@ def _inside(points: np.ndarray, rect: Rect) -> np.ndarray:
 
 
 def _needs_refinement(
-    pts: np.ndarray, window: Rect, max_gap: float, max_angle: float
+    pts: np.ndarray, window: Rect, max_gap: float, max_angle: float, apart: np.ndarray
 ) -> np.ndarray:
-    """Boolean mask over segments [i, i+1] that should be split."""
-    finite = np.isfinite(pts).all(axis=1)
+    """Boolean mask over segments [i, i+1] that should be split.
+
+    ``apart`` marks the segments that join two separate curves: they are
+    never split, and no turning angle is taken at a vertex beside one, so
+    each curve is flagged as it would be on its own.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    finite = np.isfinite(x) & np.isfinite(y)
     inside = _inside(pts, window)
     relevant = finite[:-1] & finite[1:] & (inside[:-1] | inside[1:])
 
-    deltas = np.diff(pts, axis=0)
-    gaps = np.hypot(deltas[:, 0], deltas[:, 1])
-    seg = relevant & (gaps > max_gap)
+    dx, dy = np.diff(x), np.diff(y)
+    gaps = np.hypot(dx, dy)
+    seg = relevant & (gaps > max_gap) & ~apart
 
     # Turning angle at interior vertices: refine both adjacent segments.
     # Far-out segments overflow to inf or NaN here, without a warning.
-    a, b = deltas[:-1], deltas[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        dot = (a * b).sum(axis=1)
+        cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
+        dot = dx[:-1] * dx[1:] + dy[:-1] * dy[1:]
         big_angle = np.abs(np.arctan2(cross, dot)) > max_angle
     # Ignore vertices whose segments are already tiny (curvature limit).
     tiny = (gaps[:-1] <= max_gap * 1e-3) & (gaps[1:] <= max_gap * 1e-3)
-    big_angle &= ~tiny & (relevant[:-1] | relevant[1:])
+    big_angle &= ~tiny & (relevant[:-1] | relevant[1:]) & ~apart[:-1] & ~apart[1:]
     seg[:-1] |= big_angle
     seg[1:] |= big_angle
     return seg
@@ -256,22 +267,31 @@ def _refine(
     max_angle: float,
     budget: int,
     stats: RefinementStats,
+    labelled: bool = False,
 ) -> list[np.ndarray]:
     """Bisect the seed stage until the curve stage is resolved in ``window``.
 
-    ``chain[0]`` holds seed parameters along a straight segment, in curve
+    ``chain[0]`` holds seed parameters along straight segments, in curve
     order, and every later stage their images through one more known
-    step, row for row; ``chain[-1]`` is the curve.  Each round flags curve
-    segments with ``_needs_refinement``, bisects their seed intervals and
-    calls ``extend(chain, idx, mids)`` for the midpoints' rows in every
-    stage after the seed.  Midpoints that do not split their interval, or
-    whose curve row is not finite, are dropped; the rest go between rows
-    idx and idx + 1 of every stage.  The chain never grows past ``budget``
-    rows: the round that would cross it is cut to fit and flags ``stats``.
+    step, row for row; ``chain[-1]`` is the curve.  With ``labelled``,
+    ``chain[1]`` labels the curve that each row belongs to, and a segment
+    between two labels is never bisected (see ``_needs_refinement``).
+    Each round flags curve segments with ``_needs_refinement``, bisects
+    their seed intervals and calls ``extend(chain, idx, mids)`` for the
+    midpoints' rows in every stage after the seed.  Midpoints that do not
+    split their interval, or whose curve row is not finite, are dropped;
+    the rest go between rows idx and idx + 1 of every stage.  The chain
+    never grows past ``budget`` rows: the round that would cross it is cut
+    to fit, in chain order, and flags ``stats``; no round runs once
+    ``stats`` is flagged.
     """
     for _ in range(_MAX_ROUNDS):
+        if stats.budget_exhausted:
+            break
         seeds = chain[0]
-        idx = np.flatnonzero(_needs_refinement(chain[-1], window, max_gap, max_angle))
+        labels = chain[1] if labelled else np.zeros(seeds.size)
+        apart = labels[:-1] != labels[1:]
+        idx = np.flatnonzero(_needs_refinement(chain[-1], window, max_gap, max_angle, apart))
         idx = idx[: _allow(idx.size, budget - seeds.size, stats)]
         lo, hi = seeds[idx], seeds[idx + 1]
         mids = 0.5 * (lo + hi)
@@ -333,32 +353,51 @@ def _step_seeds(
     return np.where(alive, nx, x), np.where(alive, ny, y)
 
 
-def _iterate_seeds(params: MapParams, ts: np.ndarray, generation: int) -> np.ndarray:
-    """f^generation applied to the axis seeds (0, t), vectorized.
+def _iterate_seeds(
+    params: MapParams, ts: np.ndarray, generation: int | np.ndarray
+) -> np.ndarray:
+    """f^g applied to each axis seed (0, t), g its row's ``generation``.
 
-    The walk starts with the saddle passage: while every point lies below
-    the strip and inside the freeze radius, it steps by ``eval_saddle``,
-    whose products are what ``_step_seeds`` would keep there.  Every row
-    starts on the axis, so x is one float until the passage ends.  A step
-    multiplies every y by sigma, which keeps the rows' order (sigma < 0
-    reverses it), so the rows of the lowest and highest seed are the first
-    to leave [-radius, min(h0, radius)] and only they are tested; a NaN
-    seed is both and ends the passage at once.  The steps that remain go
-    through ``_step_seeds``.
+    The rows walk in order of descending generation, so the rows still
+    walking at step j (those of generation > j) form a prefix.  The walk
+    starts with the saddle passage: while every row of that prefix lies
+    below the strip and inside the freeze radius, it steps by
+    ``eval_saddle``, whose products are what ``_step_seeds`` would keep
+    there.  Every row starts on the axis, so x is one float per step
+    until the passage ends, and a row whose generation ends inside the
+    passage keeps the x of its own step count (a signed zero for lam < 0).
+    A step multiplies every y by sigma, which keeps the rows' order (sigma
+    < 0 reverses it), so the rows of the prefix's lowest and highest seed
+    are the first to leave [-radius, min(h0, radius)] and only they are
+    tested; a NaN seed is both and ends the passage at once.  The steps
+    that remain go through ``_step_seeds``, on the prefix still walking.
     """
     if ts.size == 0:
         return np.empty((0, 2))
-    lo, hi = int(ts.argmin()), int(ts.argmax())
+    gens = np.broadcast_to(generation, ts.shape)
+    order = np.argsort(-gens, kind="stable")
+    gens, y = gens[order], ts[order]
+    # walking[j]: the rows of generation > j, which take step j + 1.
+    walking = np.searchsorted(-gens, -np.arange(gens[0]), side="left")
+    # lo[m - 1], hi[m - 1]: the rows of the lowest and highest seed among
+    # the first m; a NaN seed stays both once it is among them.
+    row, nan = np.arange(ts.size), np.isnan(y)
+    lo = np.maximum.accumulate(np.where((y == np.minimum.accumulate(y)) | nan, row, 0))
+    hi = np.maximum.accumulate(np.where((y == np.maximum.accumulate(y)) | nan, row, 0))
     bottom, top = -_FREEZE_RADIUS, min(params.h0, _FREEZE_RADIUS)
-    x, y = 0.0, ts
-    steps = generation
-    while steps > 0 and bottom <= y[lo] <= top and bottom <= y[hi] <= top:
-        x, y = eval_saddle(params, Point2(x, y))
-        steps -= 1
-    x = np.full(ts.shape, x)
-    for _ in range(steps):
-        x, y = _step_seeds(params, x, y)
-    return np.column_stack((x, y))
+    xs = [0.0]  # x after each passage step
+    for m in walking.tolist():
+        if not (bottom <= y[lo[m - 1]] <= top and bottom <= y[hi[m - 1]] <= top):
+            break
+        x, y[:m] = eval_saddle(params, Point2(xs[-1], y[:m]))
+        xs.append(x)
+    passage = len(xs) - 1
+    x = np.array(xs)[np.minimum(gens, passage)]
+    for m in walking[passage:].tolist():
+        x[:m], y[:m] = _step_seeds(params, x[:m], y[:m])
+    out = np.empty((ts.size, 2))
+    out[order] = np.column_stack((x, y))
+    return out
 
 
 def trace_unstable(
@@ -375,10 +414,13 @@ def trace_unstable(
     The fundamental segment spans [seed_scale, sigma*seed_scale] on the
     local unstable axis (the y-axis); for sigma < 0 it spans the origin
     and both half-axes grow.  Generation g is the image under f^g of 33
-    seeds on that segment, refined by ``_refine``; consecutive generations
-    concatenate into one polyline (generation g ends where generation g+1
-    begins).  Every seed walks from generation 0 (``_iterate_seeds``).
-    No generation is started once the budget has run out.
+    seeds on that segment.  Every generation, in order, goes in one chain
+    (seeds, generations, images) that one ``_refine`` call resolves: each
+    round flags every generation on its own and walks all midpoints from
+    generation 0 in one ``_iterate_seeds`` call.  Consecutive generations
+    then concatenate into one polyline (generation g ends where
+    generation g+1 begins, so each generation after the first drops its
+    first point), in reverse for sigma < 0.
     """
     if n_images < 1:
         raise ValueError("n_images must be >= 1")
@@ -390,27 +432,21 @@ def trace_unstable(
     window = clip.padded(_PAD_FRACTION)
     stats = RefinementStats()
 
-    pieces: list[tuple[np.ndarray, ...]] = []
-    used = 0
-    for g in range(n_images + 1):
-        images = partial(_iterate_seeds, params, generation=g)
-        left = point_budget - used
-        ts = np.linspace(t_lo, t_hi, 33)[: _allow(33, left, stats)]
-        ts, pts = _refine(
-            [ts, images(ts)],
-            lambda chain, idx, mids: [images(mids)],
-            window, max_gap, max_angle, left, stats,
-        )
-        pieces.append((ts, pts, np.full(ts.size, g, dtype=int)))
-        used += ts.size
-        if stats.budget_exhausted:
-            break
-
-    # Each generation after the first repeats the previous one's end point.
-    first, *rest = pieces[::-1] if params.sigma < 0 else pieces
-    seed_t, points, generation = (
-        np.concatenate([first[j], *(piece[j][1:] for piece in rest)]) for j in range(3)
+    row = np.arange(_allow(33 * (n_images + 1), point_budget, stats))
+    ts, gens = np.linspace(t_lo, t_hi, 33)[row % 33], row // 33
+    seed_t, generation, points = _refine(
+        [ts, gens, _iterate_seeds(params, ts, gens)],
+        lambda chain, idx, mids: [chain[1][idx], _iterate_seeds(params, mids, chain[1][idx])],
+        window, max_gap, max_angle, point_budget, stats, labelled=True,
     )
+
+    if params.sigma < 0:
+        order = np.argsort(-generation, kind="stable")
+        seed_t, generation, points = seed_t[order], generation[order], points[order]
+    # Each generation after the first repeats the previous one's end point.
+    keep = np.ones(generation.size, dtype=bool)
+    keep[1:] = generation[1:] == generation[:-1]
+    seed_t, generation, points = seed_t[keep], generation[keep], points[keep]
     kept_idx, joined, stats.max_gap = _finish(points, clip, window)
     return ManifoldCurve(
         points=points[kept_idx],

@@ -234,6 +234,11 @@ def srk_quadratic(params: MapParams, k: int) -> RootPair:
     # the product and the quotient instead is exact, so it gives the same
     # bits wherever both forms are finite.
     disc = qb * qb - 4.0 * (qa * qc)
+    if not math.isfinite(disc):
+        # Dividing all three coefficients by |qa| keeps the roots and their
+        # order; only a discriminant that overflows takes this form.
+        qa, qb, qc = math.copysign(1.0, qa), qb / abs(qa), qc / abs(qa)
+        disc = qb * qb - 4.0 * (qa * qc)
     if disc < 0.0:
         return RootPair(None, None)
     root = math.sqrt(disc)

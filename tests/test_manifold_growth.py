@@ -39,6 +39,14 @@ WALK_FROM_ZERO_STEPS = {
     "np": (389_132, 35_575),
 }
 
+# Map point-steps of the same calls after the saddle passage.
+PASSAGE_STEPS = {
+    "pp": (23_609, 0),
+    "nn": (15_954, 30_764),
+    "pn": (16_069, 32_194),
+    "np": (33_992, 0),
+}
+
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -90,25 +98,44 @@ class TestSeedPool:
         assert off_seed(curve) == []
 
     def test_budget_cut_inside_a_generation(self, pp, monkeypatch):
-        rounds = []
-        refine = manifolds._refine
+        walks = []
+        walk = manifolds._iterate_seeds
 
-        def recorded(chain, extend, window, max_gap, max_angle, budget, stats):
-            start = chain[0].size
-            chain = refine(chain, extend, window, max_gap, max_angle, budget, stats)
-            rounds.append((start, chain[0].size, budget))
-            return chain
+        def recorded(params, ts, generation):
+            walks.append(np.broadcast_to(generation, ts.shape).copy())
+            return walk(params, ts, generation)
 
-        monkeypatch.setattr(manifolds, "_refine", recorded)
+        monkeypatch.setattr(manifolds, "_iterate_seeds", recorded)
+        # The round that crosses the budget is cut to fit in chain order,
+        # which is generation order, and no round runs after it.
         curve = trace_unstable(pp, 45, CLIP, point_budget=3000)
         assert curve.refinement.budget_exhausted
-        # The last generation started with all 33 seeds and its refinement
-        # was cut to the budget left.
-        start, size, left = rounds[-1]
-        assert start == 33 < size == left
-        assert sum(size for _, size, _ in rounds) == 3000
-        assert int(curve.generation.max()) == len(rounds) - 1 < 45
+        assert sum(g.size for g in walks) == 3000
+        assert np.unique(curve.generation).tolist() == list(range(46))
         assert off_seed(curve) == []
+        # The first stage allots 33 seeds per generation, in order, and is
+        # cut to fit: generation 15 gets 5, and no refinement round runs.
+        walks.clear()
+        curve = trace_unstable(pp, 45, CLIP, point_budget=500)
+        assert curve.refinement.budget_exhausted
+        assert curve.refinement.inserted_points == 0
+        assert len(walks) == 1
+        assert np.bincount(walks[0]).tolist() == [33] * 15 + [5]
+        assert off_seed(curve) == []
+
+    def test_budget_caps_every_walk(self, pp, monkeypatch):
+        # Unbudgeted, this seed scale grows to about 11 million points.
+        rows = [0]
+        walk = manifolds._iterate_seeds
+
+        def counted(params, ts, generation):
+            rows[0] += ts.size
+            return walk(params, ts, generation)
+
+        monkeypatch.setattr(manifolds, "_iterate_seeds", counted)
+        curve = trace_unstable(pp, 45, CLIP, seed_scale=3e-3, point_budget=20_000)
+        assert curve.refinement.budget_exhausted
+        assert rows[0] <= 20_000
 
     @pytest.mark.parametrize("case", ["nn", "pn"])
     def test_negative_sigma_finer_gap(self, all_cases, case):
@@ -198,9 +225,17 @@ class TestSaddlePassage:
             "above the strip, beyond the freeze radius": (np.array([1e-4, 2.0 * radius]), 45),
             "a NaN seed": (np.array([1e-4, math.nan, -1e-4]), 45),
         }
+        rng = np.random.default_rng(7)
         for name, (ts, g) in batches.items():
             got = manifolds._iterate_seeds(params, ts, g)
             assert same_bits(got, stepped_seeds(params, ts, g)), name
+            # Again with a generation per row, spread over 0..45 and shuffled;
+            # each row must be the walk of its seed alone.
+            gens = rng.permutation(np.arange(ts.size) * 45 // max(ts.size - 1, 1))
+            got = manifolds._iterate_seeds(params, ts, gens)
+            for row, (t, g_row) in enumerate(zip(ts, gens.tolist())):
+                alone = stepped_seeds(params, np.array([t]), g_row)
+                assert same_bits(got[row : row + 1], alone), (name, row, g_row)
 
     def test_passage_takes_every_step_below_the_strip(self, pp, step_counter, scalar_counter):
         # 1.25**10 * 1e-4 is far below the strip: no step needs the full map.
@@ -223,12 +258,14 @@ class TestSaddlePassage:
         assert same_bits(_reiterate(pp, pp.h0, 10), plain_walk(pp, pp.h0, 10))
         assert scalar_counter[0] == 10
 
-    @pytest.mark.parametrize("case", sorted(WALK_FROM_ZERO_STEPS))
+    @pytest.mark.parametrize("case", sorted(PASSAGE_STEPS))
     def test_kernel_steps_after_the_passage(self, all_cases, step_counter, case):
-        for sign, walk_from_zero in zip((1, -1), WALK_FROM_ZERO_STEPS[case]):
+        # Walking every generation's midpoints together makes exactly the
+        # kernel steps that one walk per generation and round made.
+        for sign, steps in zip((1, -1), PASSAGE_STEPS[case]):
             step_counter[0] = 0
             trace_unstable(all_cases[case], 45, CLIP, seed_scale=sign * 1e-4)
-            assert step_counter[0] <= 0.10 * walk_from_zero
+            assert step_counter[0] == steps
 
 
 # -- blend-strip Newton ----------------------------------------------------

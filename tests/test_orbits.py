@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import hashlib
 import importlib
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ from srklab import (
 from srklab.basins import AttractorRegistry, ClassifyLimits, raster
 from srklab.cli import load_config
 from srklab.mapcore import eval_return, eval_saddle
-from srklab.orbits import CLOSING_TOL, _point_above_strip, _walk
+from srklab.orbits import CLOSING_TOL, _point_above_strip, _quadratic_coefficients, _walk
 from srklab.stability import orbit_jacobian
 
 from conftest import walk
@@ -633,13 +635,22 @@ class TestScan:
             "closed-form", "precision-limited", "closed-form", "precision-limited"
         ]
         assert all(r.status != "newton-failed" for r in records)
-        # With lam = -1/2 the discriminant itself overflows at k = 1022, so
-        # both roots come out infinite.
-        records = scan_srk(np_case.replace(lam=-0.5, sigma=2.0), 1022, 1022).records
-        assert [(r.status, r.detail) for r in records] == [
-            ("precision-limited", "quadratic formula overflows (u = -inf)"),
-            ("precision-limited", "quadratic formula overflows (u = inf)"),
-        ]
+        # With lam = -1/2 the discriminant itself overflows at k = 1022; its
+        # roots, about -+2.1e-154, come from the coefficients over |qa|.
+        params = np_case.replace(lam=-0.5, sigma=2.0)
+        qa, qb, qc = _quadratic_coefficients(params, 1022)
+        assert math.isinf(qb * qb - 4.0 * (qa * qc))
+        roots = srk_quadratic(params, 1022)
+        disc = Fraction(qb) ** 2 - 4 * Fraction(qa) * Fraction(qc)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
+            for u, sign in ((roots.u_minus, -1), (roots.u_plus, 1)):
+                exact = (Decimal(-qb) + sign * root) / (2 * Decimal(qa))
+                assert abs(Decimal(u) - exact) <= Decimal("1e-12") * abs(exact)
+        records = scan_srk(params, 1022, 1022).records
+        assert len(records) == 2
+        assert not any("overflows" in r.detail for r in records)
 
     def test_degenerate_coefficients_recorded_not_raised(self, pp):
         # d5 = 0 leaves no quadratic at any k; c1 = 1 zeroes 1 - c1*lam**k
