@@ -43,7 +43,6 @@ from .mapcore import (
     Jacobian2,
     Point2,
     Region,
-    _return_jacobian,
     eval_map,
     eval_map_arrays,
     eval_return,
@@ -261,29 +260,39 @@ def _point_above_strip(params: MapParams, k: int, u: float) -> Point2:
     return Point2(x_up, params.y_star + u)
 
 
+def _trace_det(params: MapParams, k: int, x: float, u: float) -> tuple[float, float]:
+    """Trace and det of the SR_k period Jacobian diag(lam**k, sigma**k) DU1
+    at the above-strip point (x, y_star + u), from u itself: reading u back
+    from y_star + u would multiply its rounding by |sigma|**k."""
+    dx = params.d1 + 2.0 * params.d3 * x + params.d4 * u
+    dy = params.d2 + params.d4 * x + 2.0 * params.d5 * u
+    tau = params.lam**k * params.c1 + params.sigma**k * dy
+    delta = (params.lam * params.sigma) ** k * (params.c1 * dy - params.c2 * dx)
+    return tau, delta
+
+
 class _Walks(NamedTuple):
     """The batched walk's result, one entry per candidate (row): its k,
     the ``record`` of every point walked (``record[j]`` holds point j of
     every candidate, its x row then its y row; a candidate's entries are
     valid down to row k), its points outside their required region
-    (candidates without any are absent), its closing residual, and its
-    period Jacobian's trace and det."""
+    (candidates without any are absent) and its closing residual."""
 
     ks: Sequence[int]
     record: np.ndarray
     violations: dict[int, list[tuple[int, Region]]]
     residual: list[float]
-    trace: list[float]
-    det: list[float]
 
     def points(self, row: int) -> OrbitPoints:
         """The k + 1 recorded points of candidate ``row``'s orbit."""
         return OrbitPoints._of_floats(*self.record[: self.ks[row] + 1, :, row].T.tolist())
 
-    def orbit(self, row: int, branch: Branch | None) -> SRkOrbit:
-        tau, delta = self.trace[row], self.det[row]
+    def orbit(self, params: MapParams, row: int, branch: Branch | None, u: float) -> SRkOrbit:
+        """Candidate ``row``'s orbit, with trace and det from its root ``u``."""
+        k = self.ks[row]
+        tau, delta = _trace_det(params, k, self.record.item(0, 0, row), u)
         return SRkOrbit(
-            k=self.ks[row],
+            k=k,
             points=self.points(row),
             branch=branch,
             residual=self.residual[row],
@@ -300,11 +309,9 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
     k >= j) form a prefix.
 
     Step j applies the scalar expressions elementwise: point j is the
-    saddle piece of point j - 1, multiplied in place, and the period
-    Jacobian takes one saddle factor in the form ``Jacobian2.matmul``
-    gives it, after the return Jacobian at the above-strip point.  So
-    every value equals the one-point walk and ``orbit_jacobian`` over the
-    points bit for bit; the 0.0 terms keep their signed zeros and NaNs.
+    saddle piece of point j - 1, multiplied in place, so every point
+    equals the one-point walk's bit for bit.  The walk forms no Jacobian:
+    a kept orbit's trace and det come from its root (``_trace_det``).
     Every point is recorded, (k_max + 1) x candidates x 16 bytes while
     the scan runs (a config range may ask for 2**30 bytes at most), and
     the itinerary is checked on each: point 0 must lie at or above h1,
@@ -323,30 +330,16 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
     record[0] = np.fromiter(chain.from_iterable(ups), float, 2 * n).reshape(n, 2).T
     up = Point2(xs[0], ys[0])
     saddle = np.array([[params.lam], [params.sigma]])
-    # Rows a, b, d, c of each candidate's Jacobian product: reversed,
-    # each entry meets the one its 0.0 term reads.  Step j updates the
-    # prefix in place, so a row keeps its values from its last step.
-    jac = np.empty((4, n))
-    jac_scale = np.array([[params.lam], [params.lam], [params.sigma], [params.sigma]])
     with np.errstate(all="ignore"):
         # A candidate whose first point is not above the strip fails its
         # itinerary, so the return piece's values stand for every row.
         if k_max:
             xs[1], ys[1] = eval_return(params, up)
-        ja, jb, jc, jd = _return_jacobian(params, up).matmul(Jacobian2.identity())
-        jac[0], jac[1], jac[2], jac[3] = ja, jb, jd, jc
         live = n
-        for j in range(1, k_max + 1):
+        for j in range(2, k_max + 1):
             while ks[live - 1] < j:
                 live -= 1
-            if j > 1:
-                np.multiply(record[j - 1, :, :live], saddle, out=record[j, :, :live])
-            prefix = jac[:, :live]
-            zero = prefix[::-1] * 0.0
-            prefix *= jac_scale
-            prefix += zero
-        a, b, d, c = jac
-        trace, det = (a + d).tolist(), (a * d - b * c).tolist()
+            np.multiply(record[j - 1, :, :live], saddle, out=record[j, :, :live])
         # Both tests fail on NaN; rows past a candidate's k are masked.
         stray = ~(ys <= params.h0)
         stray[0] = ~(ys[0] >= params.h1)
@@ -359,7 +352,7 @@ def _walk(params: MapParams, ks: Sequence[int], ups: Sequence[Point2]) -> _Walks
     for row in np.flatnonzero(stray.any(axis=0)).tolist():
         steps = np.flatnonzero(stray[:, row]).tolist()
         violations[row] = [(j, region_of(params, ys.item(j, row))) for j in steps]
-    return _Walks(ks, record, violations, residual, trace, det)
+    return _Walks(ks, record, violations, residual)
 
 
 def assemble_orbit(
@@ -370,10 +363,9 @@ def assemble_orbit(
     The above-strip point comes from ``_point_above_strip``; the return
     piece then the saddle piece applied k times produce the remaining
     points.  This is ``scan_srk``'s batched walk (``_walk``) run on one
-    candidate: it checks the itinerary and multiplies the period Jacobian
-    (the return Jacobian at the above-strip point, then k saddle factors)
-    equal to ``orbit_jacobian`` over the points bit for bit, and maps the
-    last point once to give the closing residual.
+    candidate: it checks the itinerary and maps the last point once to
+    give the closing residual.  Trace and det come from ``u`` in closed
+    form (``_trace_det``), not from the points.
     Raises ``ItineraryInvalidError`` when any point falls outside its
     required region (the closed form is then not a genuine orbit of the
     piecewise map).  An orbit that passes is minimal: its one point above
@@ -382,7 +374,7 @@ def assemble_orbit(
     walks = _walk(params, [k], [_point_above_strip(params, k, u)])
     if walks.violations:
         raise ItineraryInvalidError(walks.violations[0])
-    return walks.orbit(0, branch)
+    return walks.orbit(params, 0, branch, u)
 
 
 def _cycle_and_residual(
@@ -551,7 +543,8 @@ def _closed_form_record(
         if roots.u_minus == roots.u_plus:
             return ScanRecord(k, branch, "duplicate", None, "double root")
         return ScanRecord(k, branch, "precision-limited", None, "same points as minus")
-    return ScanRecord(k, branch, "closed-form", walks.orbit(row, branch))
+    orbit = walks.orbit(params, row, branch, roots.get(branch))
+    return ScanRecord(k, branch, "closed-form", orbit)
 
 
 def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
@@ -565,6 +558,8 @@ def scan_srk(params: MapParams, k_min: int, k_max: int) -> ScanResult:
     residual; points are built only for the orbits that are kept.  An
     orbit's points follow from its point 0 and k, so the plus root
     repeats the minus root's orbit when their above-strip points are equal.
+    A closed-form orbit takes its trace and det from its root u
+    (``_trace_det``), a Newton orbit from ``orbit_jacobian``.
 
     Where doubles cannot carry a closed-form orbit it is recorded as
     ``precision-limited``, never labelled: ``sigma**k`` or the quadratic

@@ -51,9 +51,9 @@ def orbit_jacobian(params: MapParams, points: Sequence[Point2]) -> Jacobian2:
     """Ordered Jacobian product Df(p_{n-1}) ... Df(p_0) over one period.
 
     The empty product is the identity; the product is only as accurate
-    as the points.  Newton's steps and labels, the registry's label check
-    and the tests use it as the reference for every orbit's trace and
-    determinant.
+    as the points.  Newton and the registry's label check use it; a
+    closed-form SR_k orbit's values come from its root instead, as its
+    walked points carry rounding amplified by |sigma|**k.
     """
     total = Jacobian2.identity()
     for p in points:

@@ -1,11 +1,13 @@
 """Shared fixtures and independent numerical oracles.
 
 The oracles here (finite differences, direct truncated-map iteration,
-eigenvalue classification) deliberately avoid the code paths they check.
+eigenvalue classification, 80-digit SR_k values) deliberately avoid the
+code paths they check.
 """
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -68,20 +70,61 @@ def truncated_saddle_step(params: MapParams, p: Point2) -> Point2:
     )
 
 
-def eigen_classify(tau: float, delta: float, tol: float = 1e-9) -> str:
-    """Classification oracle via the quadratic formula on (tau, delta)."""
-    disc = tau * tau - 4.0 * delta
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        moduli = sorted((abs((tau - root) / 2.0), abs((tau + root) / 2.0)))
+def eigen_classify(tau, delta, tol: float = 1e-9) -> str:
+    """Classification oracle via the quadratic formula on (tau, delta):
+    floats, or Decimals at the context's precision."""
+    sqrt = Decimal.sqrt if isinstance(tau, Decimal) else math.sqrt
+    one, tol = type(tau)(1), type(tau)(tol)
+    disc = tau * tau - 4 * delta
+    if disc >= 0:
+        root = sqrt(disc)
+        moduli = sorted((abs((tau - root) / 2), abs((tau + root) / 2)))
     else:
-        m = math.sqrt(delta)
+        m = sqrt(delta)
         moduli = [m, m]
     lo, hi = moduli
-    if hi < 1.0 - tol:
+    if hi < one - tol:
         return "asymptotically-stable"
-    if lo > 1.0 + tol:
+    if lo > one + tol:
         return "source"
-    if disc > 0.0 and hi > 1.0 + tol and lo < 1.0 - tol:
+    if disc > 0 and hi > one + tol and lo < one - tol:
         return "saddle"
     return "non-hyperbolic"
+
+
+def exact_srk(params: MapParams, k_max: int, digits: int = 80) -> dict:
+    """{(k, "minus" | "plus"): (trace, det, label)} of both single-round
+    branches for every k = 0..k_max with real roots, in ``digits``-digit
+    ``decimal`` arithmetic on the ``repr`` of each parameter.
+
+    The above-strip point (x, y* + u) solves a u^2 + b u + c = 0 with
+    x = A + B u, and the period Jacobian is diag(lam^k, sigma^k) DU1(x, u),
+    as in ``perfbench/refmap.exact_srk_labels``, which gives labels only.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p = {name: Decimal(repr(v)) for name, v in params.to_dict().items()}
+        lam, sig, xs, ys = p["lambda"], p["sigma"], p["x_star"], p["y_star"]
+        c1, c2 = p["c1"], p["c2"]
+        d1, d2, d3, d4, d5 = (p[f"d{i}"] for i in range(1, 6))
+        out = {}
+        for k in range(k_max + 1):
+            lk, sk, pk = lam**k, sig**k, (lam * sig) ** k
+            den = 1 - c1 * lk
+            big_a, big_b = lk * xs / den, lk * c2 / den
+            a_s, b_s = pk * xs / den, pk * c2 / den
+            qa = sk * d5 + d3 * big_b * b_s + d4 * b_s
+            qb = d1 * b_s + sk * d2 + 2 * d3 * big_a * b_s + d4 * a_s - 1
+            qc = d1 * a_s + d3 * big_a * a_s - ys
+            disc = qb * qb - 4 * qa * qc
+            if disc < 0:
+                continue
+            root = disc.sqrt()
+            for branch, sign in (("minus", -1), ("plus", 1)):
+                u = (-qb + sign * root) / (2 * qa)
+                x = big_a + big_b * u
+                dy = d2 + d4 * x + 2 * d5 * u
+                trace = lk * c1 + sk * dy
+                det = pk * (c1 * dy - c2 * (d1 + 2 * d3 * x + d4 * u))
+                out[(k, branch)] = (trace, det, eigen_classify(trace, det))
+    return out

@@ -40,9 +40,8 @@ from srklab.basins import AttractorRegistry, ClassifyLimits, raster
 from srklab.cli import load_config
 from srklab.mapcore import eval_return, eval_saddle
 from srklab.orbits import CLOSING_TOL, _point_above_strip, _quadratic_coefficients, _walk
-from srklab.stability import orbit_jacobian
 
-from conftest import walk
+from conftest import exact_srk, walk
 
 CONFIG_ROOT = Path(__file__).resolve().parent.parent / "configs"
 
@@ -199,16 +198,16 @@ FUSED_WALK_SETS_PARAMS = {name: params for name, (params, _) in FUSED_WALK_SETS.
 
 
 class TestFusedWalk:
-    """The scan's batched walk checks the itinerary and forms the period
-    Jacobian, and the kept orbits' points follow its products; each must
-    equal the separate per-point computation bit for bit.  On nn
-    (lam < 0, c1 = 0) the first Jacobian entry is a zero whose sign
-    follows c, so the repr comparison pins signed zeros."""
+    """The scan's batched walk checks the itinerary, and the kept orbits'
+    points follow its products; each must equal the separate per-point
+    computation bit for bit.  A kept orbit's label, taken from its root,
+    must be the 80-digit one."""
 
     @pytest.mark.parametrize(
         "params, ranges", list(FUSED_WALK_SETS.values()), ids=list(FUSED_WALK_SETS)
     )
     def test_matches_per_point_walk(self, params, ranges):
+        exact = exact_srk(params, ranges[-1].stop - 1)
         checked = {"closed-form": 0, "itinerary-invalid": 0}
         for ks in ranges:
             for record in scan_srk(params, ks.start, ks.stop - 1).records:
@@ -224,8 +223,7 @@ class TestFusedWalk:
                 orbit = record.orbit
                 assert orbit.points == tuple(points)
                 assert violations == []
-                jac = orbit_jacobian(params, orbit.points)
-                assert (repr(orbit.trace), repr(orbit.det)) == (repr(jac.trace), repr(jac.det))
+                assert orbit.stability.value == exact[(record.k, record.branch.value)][2]
         assert checked["closed-form"] > 0
 
     @pytest.mark.parametrize(
@@ -503,8 +501,9 @@ class TestSingleWalk:
 
         monkeypatch.setattr(orbits, "orbit_jacobian", refuse)
         orbit = assemble_orbit(pp, 6, srk_quadratic(pp, 6).u_minus)
-        jac = orbit_jacobian(pp, orbit.points)
-        assert (orbit.trace, orbit.det) == (jac.trace, jac.det)
+        # The exact values: the product over the points gives det
+        # 0.5000000000000002.
+        assert (orbit.trace, orbit.det) == (0.0, 0.5)
 
     def test_closed_form_makes_no_scalar_map_call(self, pp, eval_map_calls):
         # The walk closes every candidate with one array call; the residual
@@ -763,6 +762,31 @@ class TestLargeK:
                 assert o.stability.value == exact[(o.k, o.branch.value)], (o.k, o.branch)
         assert any(r.status == "precision-limited" for r in result.records)
 
+    @pytest.mark.parametrize("name", ["pp", "nn", "pn", "np"])
+    def test_closed_form_values_match_80_digits(self, name):
+        # Trace and det come from the root u: the walk's points carry the
+        # rounding of y_star + u times |sigma|**k, and the values must not.
+        params = LARGE_K_SETS[name]
+        exact = exact_srk(params, 400)
+        checked = 0
+        for o in scan_srk(params, 0, 400).orbits:
+            if o.method != "closed-form":
+                continue
+            trace, det, _ = exact[(o.k, o.branch.value)]
+            for got, want in ((o.trace, trace), (o.det, det)):
+                error = abs(Decimal(got) - want) / max(1, abs(want))
+                assert error <= Decimal("1e-12"), (o.k, o.branch, got, want)
+            checked += 1
+        assert checked > 250
+
+    @pytest.mark.parametrize("name", sorted(LARGE_K_SETS))
+    def test_registry_accepts_every_scan_orbit(self, name):
+        # from_orbits checks each label against its points' orbit_jacobian,
+        # which the label from u must match at every k the scan accepts.
+        params = LARGE_K_SETS[name]
+        registry = AttractorRegistry.from_orbits(params, scan_srk(params, 0, 400).orbits)
+        assert len(registry) >= 199
+
     def test_non_closing_orbits_flagged(self, np_case):
         records = scan_srk(np_case, 100, 400).records
         flagged = [r for r in records if "closing residual" in r.detail]
@@ -777,28 +801,29 @@ class TestLargeK:
 
 
 # SHA-256 of each set's "k,branch,status,detail" lines and of its
-# ``orbits_to_csv`` text for ``scan_srk(0, 400)``, as the scan wrote them
-# when it decided one candidate at a time.
+# ``orbits_to_csv`` text for ``scan_srk(0, 400)``.  The record digests are
+# those the scan wrote when it decided one candidate at a time; the CSV
+# digests are those of trace and det taken from each root u.
 LARGE_K_DIGESTS = {
     "pp": (
         "478b67b121bb83b1e0df436f282b02c2e225320121856daaedca5367dd284f00",
-        "80f5d35abe1b3787302309b01362ac7a5431293af0e3c61ce1ef31fe328dcca7",
+        "8ba539cdd847536f087e8cf76ecbf19fff4569f42d5602aa396c7ad92e1a9bb5",
     ),
     "nn": (
         "89fa15a02d084efe340209681bd3745494ac0b6e14f04269e8f0fe42d62a72eb",
-        "2c7b866a59ee5a8b879283cdafb780acc5932c133154c1397274acfe84a97bac",
+        "27ae992a625a27f2ec8f2fca03f1a40817076b1938bb58ec7236058606799de0",
     ),
     "pn": (
         "80d8dc318c9ce3de0ea5adcea7225cb4af8bc10cd9ecd967fdd6532803a08137",
-        "2df7eb798f254cd05e73a266f6ee6042e65911c5437e2a8a3ebb42dd2c95a91f",
+        "0214320f160f7fde98b107b0e3111caadedb1cc127310eccde11746869b6c5cb",
     ),
     "np": (
         "33a49009026086ad8ef47e16e4dee0408ae45b12dd8ae0e3c7665cb913c043a2",
-        "66c5823903cddc409206a9a17292cac6d6151b7ab54c310c5ca16576a5d7999e",
+        "27b0cc73d79316776c211fedf8548cebcc858fa0c5f50ce71efb840389f4ce32",
     ),
     "pp-perturbed": (
         "21787423a6bb5e312ab427fefd02018645a735b0e464d63056a844aa52d6af18",
-        "63a5b1dcd415b3671178dc0626d2e9235ee86c9d5754452883ea5c03f2841f54",
+        "1eb43d9ee0ca550eade7b034e7e3c05affcef121973d16884692863c0889967d",
     ),
 }
 
@@ -904,7 +929,7 @@ class TestWalkDecisions:
     def test_no_candidate(self, pn):
         # sigma < 0 leaves odd k without a real root.
         walks = _walk(pn, [], [])
-        assert walks.residual == walks.trace == []
+        assert walks.residual == []
         assert [r.status for r in scan_srk(pn, 1, 1).records] == ["no-real-root"] * 2
 
 
